@@ -22,8 +22,8 @@ from .scheduler import (
     schedule_length_bounds,
     write_schedule_file,
 )
-from .topology import NetworkGraph, generate_random_graph, is_connected
-from .tree import Infeasible, SpanningTree, build_spanning_tree, write_tree_file
+from .topology import NetworkGraph, generate_random_graph
+from .tree import Disconnected, Infeasible, SpanningTree, build_spanning_tree, write_tree_file
 
 
 class ConfigError(ValueError):
@@ -119,13 +119,11 @@ def sample_instance(
     for attempt in range(MAX_ATTEMPTS):
         seed = derive_seed(config.base_seed, n, run_index, attempt)
         graph = generate_random_graph(n, config.area, config.range_r, seed)
-        if not is_connected(graph):
-            continue
         try:
             tree = build_spanning_tree(
                 graph, config.max_children, gen_rate=config.rate_for_tree()
             )
-        except Infeasible:
+        except (Disconnected, Infeasible):
             continue
         return graph, tree, seed
     raise CannotSample(

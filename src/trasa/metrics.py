@@ -44,11 +44,15 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     """Replay one cycle and record buffers, arrivals and awake intervals.
 
     A node is awake in a slot iff it transmits or one of its children does.
-    Raises CausalityBreach on foreign schedules that transmit unheld packets;
-    schedules produced by the greedy scheduler never do.
+    Raises CausalityBreach on foreign schedules that transmit unheld packets
+    or let the sink or a node outside the tree transmit; schedules produced
+    by the greedy scheduler never do.
     """
     non_sink = tree.non_sink_nodes()
     queues: dict[int, list[int]] = {u: [u] * tree.gen_rate[u] for u in non_sink}
+    strangers = [u for u in sorted(schedule.allocations) if u not in queues]
+    if strangers:
+        raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
     buffer_series: dict[int, list[int]] = {u: [] for u in non_sink}
     arrivals: list[tuple[int, int]] = []
     awake: dict[int, set[int]] = {u: set() for u in tree.nodes()}

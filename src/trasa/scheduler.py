@@ -254,9 +254,17 @@ def validate_schedule(
 
     Violations are data, not exceptions: an empty report certifies the
     schedule. Causality and delivery are checked by a counting replay where
-    every transmitter forwards one buffered packet per occupied slot.
+    every transmitter forwards one buffered packet per occupied slot. A
+    schedule naming nodes outside the tree gets one causality violation per
+    such node and no replay.
     """
     report = ValidationReport()
+    strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
+    for u in strangers:
+        first_slot = schedule.allocations[u][0][0]
+        report.violations.append(
+            Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree")
+        )
 
     for slot in range(schedule.length):
         txs = sorted(schedule.transmitters.get(slot, frozenset()))
@@ -267,6 +275,8 @@ def validate_schedule(
                         Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}")
                     )
 
+    if strangers:
+        return report  # a stranger has no parent, so the counting replay cannot route it
     buffers = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
     delivered = 0
     for slot in range(schedule.length):

@@ -4,11 +4,26 @@ Construction follows minimum-hop parent selection under a per-node child
 limit. The attachment order is fixed for reproducibility: nodes attach in
 BFS order (smallest feasible depth first, ties by ascending node id), each
 to the lowest-id non-full attached neighbor at that depth.
+
+The builder realises that rule with a lazy min-heap of (depth + 1, node,
+parent) offers. An attaching node offers itself to each unattached neighbor;
+an offer is pushed only if it beats the one that neighbor already holds. A
+popped offer is dropped if its node is attached or holds a better one. If
+its parent has filled up since, the node's attached, non-full neighbors are
+rescanned and the best of them is offered instead; with none, the node waits
+for a new neighbor to attach. Attachment depths never decrease, so a filling
+parent only raises a node's best feasible (depth, parent) key, and a new
+neighbor offers itself directly: the offer a node holds is never above that
+key, and one popped while its parent is still open is exactly the key. Pops
+therefore follow the rule above. Offers cost O(E log E) for E edges; a node
+rescans its neighbors only when the parent it holds fills up, so at most
+once per neighbor.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from heapq import heappop, heappush
 
 from .topology import SINK, NetworkGraph, is_connected
 
@@ -109,36 +124,46 @@ def build_spanning_tree(
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {u: [] for u in range(n)}
     depth: dict[int, int] = {sink: 0}
+    best: dict[int, tuple[int, int]] = {}  # unattached node -> best (depth, parent) offered
+    heap: list[tuple[int, int, int]] = []
 
-    while len(depth) < n:
-        # Pick the next node to attach: smallest feasible depth, then lowest id.
-        best_key = None
-        best_node = -1
-        best_parent = -1
-        for u in range(n):
-            if u in depth:
-                continue
-            choice = None
-            for p in sorted(graph.neighbors(u)):
-                if p in depth and len(children[p]) < max_children:
-                    cand = (depth[p] + 1, p)
-                    if choice is None or cand < choice:
-                        choice = cand
-            if choice is None:
-                continue
-            key = (choice[0], u)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_node = u
-                best_parent = choice[1]
-        if best_key is None:
-            blocked = sorted(set(range(n)) - set(depth))
-            raise Infeasible(
-                f"child limit {max_children} blocks nodes {blocked} from attaching"
-            )
-        parent[best_node] = best_parent
-        children[best_parent].append(best_node)
-        depth[best_node] = depth[best_parent] + 1
+    def offer(key: tuple[int, int], v: int) -> None:
+        if v not in best or key < best[v]:
+            best[v] = key
+            heappush(heap, (key[0], v, key[1]))
+
+    def attach(u: int) -> None:
+        key = (depth[u] + 1, u)
+        for v in graph.neighbors(u):
+            if v not in depth:
+                offer(key, v)
+
+    attach(sink)
+    while heap:
+        d, v, p = heappop(heap)
+        if best.get(v) != (d, p):  # beaten, or v attached (attaching clears best[v])
+            continue
+        del best[v]
+        if len(children[p]) >= max_children:
+            # p filled up since the push: re-offer v its best remaining parent, if any.
+            options = [
+                (depth[q] + 1, q)
+                for q in graph.neighbors(v)
+                if q in depth and len(children[q]) < max_children
+            ]
+            if options:
+                offer(min(options), v)
+            continue
+        parent[v] = p
+        children[p].append(v)
+        depth[v] = d
+        attach(v)
+
+    if len(depth) < n:
+        blocked = sorted(set(range(n)) - set(depth))
+        raise Infeasible(
+            f"child limit {max_children} blocks nodes {blocked} from attaching"
+        )
 
     rates = _normalize_rates(list(range(n)), sink, gen_rate)
     return SpanningTree(sink, parent, children, depth, rates)

@@ -69,9 +69,13 @@ def test_every_packet_arrives_exactly_once():
 
 def test_foreign_schedule_raises_causality_breach(chain_run):
     t, _ = chain_run
-    bad = Schedule(3, {1: [(0, 2)], 2: [(2, 1)]})
-    with pytest.raises(CausalityBreach):
-        replay_schedule(bad, t)
+    for allocations in (
+        {1: [(0, 2)], 2: [(2, 1)]},  # node 1 sends before it holds two packets
+        {0: [(0, 1)], 1: [(1, 1)], 2: [(2, 1)]},  # the sink transmits
+        {7: [(0, 1)], 1: [(1, 1)]},  # node 7 is not in the tree
+    ):
+        with pytest.raises(CausalityBreach):
+            replay_schedule(Schedule(3, allocations), t)
 
 
 def test_empty_schedule_yields_zero_metrics():

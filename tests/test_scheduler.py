@@ -201,6 +201,15 @@ def test_validator_flags_premature_transmission(chain):
     assert CAUSALITY in kinds and DELIVERY in kinds
 
 
+def test_validator_reports_node_outside_the_tree(chain):
+    _, t, cm = chain
+    stranger = Schedule(2, {7: [(0, 1)], 1: [(1, 1)]})
+    report = validate_schedule(stranger, cm, t)
+    assert report.violations == report.of_kind(CAUSALITY)
+    assert [(v.slot, v.nodes) for v in report.violations] == [(0, (7,))]
+    assert "not in the tree" in report.violations[0].detail
+
+
 def test_demand_state_sink_counter_meters_delivery(chain):
     from trasa.scheduler import DemandState
 

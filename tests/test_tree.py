@@ -1,9 +1,15 @@
+import math
+import random
+from collections import Counter
+
 import pytest
 
-from trasa.topology import NetworkGraph, generate_random_graph
+from trasa.experiment_cli import ExperimentConfig, sample_instance
+from trasa.topology import NetworkGraph, generate_random_graph, is_connected
 from trasa.tree import (
     Disconnected,
     Infeasible,
+    SpanningTree,
     build_spanning_tree,
     dump_tree,
     subtree_demand,
@@ -106,3 +112,86 @@ def test_dump_tree_format():
     g = chain_graph(3)
     t = build_spanning_tree(g, max_children=3)
     assert dump_tree(t) == "0 -1 0 2 0\n1 0 1 1 1\n2 1 2 0 1\n"
+
+
+def _reference_build(graph, max_children):
+    """The documented attachment rule, rescanning every unattached node per attachment.
+
+    Returns (parent, depth, children) or raises like build_spanning_tree.
+    """
+    if not is_connected(graph):
+        raise Disconnected("graph is not connected from the sink")
+    n = graph.n
+    parent, depth = {}, {0: 0}
+    children = {u: [] for u in range(n)}
+    while len(depth) < n:
+        # smallest feasible depth, then lowest node id; parent: lowest-id non-full at that depth
+        best = None
+        for u in range(n):
+            if u in depth:
+                continue
+            feasible = [
+                (depth[p] + 1, p)
+                for p in graph.neighbors(u)
+                if p in depth and len(children[p]) < max_children
+            ]
+            if feasible:
+                d, p = min(feasible)
+                if best is None or (d, u) < best[:2]:
+                    best = (d, u, p)
+        if best is None:
+            blocked = sorted(set(range(n)) - set(depth))
+            raise Infeasible(
+                f"child limit {max_children} blocks nodes {blocked} from attaching"
+            )
+        d, u, p = best
+        parent[u] = p
+        depth[u] = d
+        children[p].append(u)
+    return parent, depth, children
+
+
+def _outcome(build, graph, max_children):
+    try:
+        return build(graph, max_children)
+    except (Disconnected, Infeasible) as exc:
+        return type(exc), str(exc)
+
+
+def test_heap_builder_matches_documented_rule_on_random_graphs():
+    rng = random.Random(2012)
+    kinds = Counter()
+    for _ in range(300):
+        n = rng.randint(2, 130)
+        max_children = rng.randint(1, 4)
+        range_r = rng.uniform(0.08, 0.6)
+        g = generate_random_graph(n, (1.0, 1.0), range_r, seed=rng.randrange(2**32))
+        expected = _outcome(_reference_build, g, max_children)
+        got = _outcome(build_spanning_tree, g, max_children)
+        if isinstance(got, SpanningTree):
+            kinds["tree"] += 1
+            got = (got.parent, got.depth, got.children)
+        else:
+            kinds[got[0].__name__] += 1
+        assert got == expected, (n, max_children, range_r)
+    # every outcome is exercised, infeasible trees included
+    assert kinds["tree"] >= 100 and kinds["Infeasible"] >= 30 and kinds["Disconnected"] >= 30, kinds
+
+
+def test_tree_build_touches_each_neighbor_list_a_bounded_number_of_times(monkeypatch):
+    n = 1000
+    config = ExperimentConfig(n_values=[n], range_r=0.08 * math.sqrt(2000 / n))
+    graph, tree, _ = sample_instance(config, n, 0)
+    neighbors = graph.neighbors
+    calls = 0
+
+    def counted(u):
+        nonlocal calls
+        calls += 1
+        return neighbors(u)
+
+    monkeypatch.setattr(graph, "neighbors", counted)
+    again = build_spanning_tree(graph, config.max_children)
+    assert again.parent == tree.parent
+    # the former per-attachment rescan made n(n-1)/2 = 499,500 calls here
+    assert calls < 4 * n
