@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -78,10 +79,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("n_values must be non-empty positive integers")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError("area dimensions must be positive")
-        if self.range_r <= 0:
-            raise ConfigError("range must be positive")
+        if not all(math.isfinite(side) and side > 0 for side in self.area):
+            raise ConfigError("area dimensions must be finite and positive")
+        if not (math.isfinite(self.range_r) and self.range_r > 0):
+            raise ConfigError("range must be finite and positive")
         if self.h < 1:
             raise ConfigError("h must be >= 1")
         if self.max_children < 1:

@@ -35,33 +35,21 @@ class Coloring:
     colors: dict[int, int] = field(default_factory=dict)
 
 
-def _descendant_lists(tree: SpanningTree) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for u in tree.nodes():
-        stack = list(tree.children.get(u, []))
-        acc = []
-        while stack:
-            c = stack.pop()
-            acc.append(c)
-            stack.extend(tree.children.get(c, []))
-        out[u] = acc
-    return out
-
-
 def _maximal_independent_sets(eligible: list[int], conflicts: ConflictMap) -> list[tuple[int, ...]]:
-    independents = []
+    """Maximal conflict-free subsets of eligible, by size, then in combination order."""
+    masks = conflicts.masks
+    bits = {v: 1 << v for v in eligible}
+    everyone = sum(bits.values())
+    maximal = []
     for r in range(1, len(eligible) + 1):
         for combo in combinations(eligible, r):
-            if all(not conflicts.conflicts(a, b) for a, b in combinations(combo, 2)):
-                independents.append(set(combo))
-    maximal = []
-    for s in independents:
-        extendable = any(
-            v not in s and all(not conflicts.conflicts(v, w) for w in s)
-            for v in eligible
-        )
-        if not extendable:
-            maximal.append(tuple(sorted(s)))
+            members = blocked = 0
+            for v in combo:
+                members |= bits[v]
+                blocked |= masks.get(v, 0)
+            # independent, and every other eligible node conflicts with a member
+            if not blocked & members and not everyone & ~members & ~blocked:
+                maximal.append(tuple(sorted(combo)))
     return maximal
 
 
@@ -78,7 +66,8 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
 
     order = tree.non_sink_nodes()
     index = {u: i for i, u in enumerate(order)}
-    descendants = _descendant_lists(tree)
+    bottom_up = sorted(range(len(order)), key=lambda i: tree.depth[order[i]], reverse=True)
+    child_slots = [[index[c] for c in tree.children.get(u, [])] for u in order]
     parents = tree.parent
     sink = tree.sink
     sink_children = tree.children.get(sink, [])
@@ -91,13 +80,11 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
         return 0
 
     def bound(buffers: tuple[int, ...]) -> int:
-        best = 0
-        for u in order:
-            through = buffers[index[u]] + sum(
-                buffers[index[d]] for d in descendants[u] if d in index
-            )
-            if through > best:
-                best = through
+        through = list(buffers)  # packets at or below each node, children summed first
+        for i in bottom_up:
+            for c in child_slots[i]:
+                through[i] += through[c]
+        best = max(through)
         if children_clique:
             best = max(best, sum(buffers))
         return best

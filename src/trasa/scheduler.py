@@ -9,7 +9,6 @@ node is scheduled, which is what makes the allocation traffic-proportional.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,19 +25,24 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class ConflictMap:
-    """Symmetric, irreflexive conflict relation: nodes within 1..h hops interfere."""
+    """Symmetric, irreflexive conflict relation: nodes within 1..h hops interfere.
+
+    `masks[u]` has bit v set iff u and v conflict, so node ids are
+    non-negative ints. The masks are symmetric (v's bit in u's mask iff
+    u's bit in v's mask), so `run_trasa` tests a node against a whole
+    window with one bit of its occupants' OR.
+    """
 
     variant: Variant
     h: int
-    _relation: dict[int, frozenset[int]]
+    masks: dict[int, int]
 
     def conflicts(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return v in self._relation.get(u, frozenset())
+        return u != v and v >= 0 and self.masks.get(u, 0) >> v & 1 == 1
 
     def conflicting(self, u: int) -> frozenset[int]:
-        return self._relation.get(u, frozenset())
+        bits = reversed(bin(self.masks.get(u, 0)))  # lowest bit first
+        return frozenset(v for v, bit in enumerate(bits) if bit == "1")
 
 
 def build_conflict_map(
@@ -48,6 +52,8 @@ def build_conflict_map(
 
     ALL_LINKS measures hop distance in the full graph; TREE_ONLY only walks
     parent/child links, so its relation is a subset of ALL_LINKS at equal h.
+    The ball within k hops of u is u's ball within k-1 hops OR'ed with those
+    of its neighbours; after h rounds u's own bit is cleared.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -63,22 +69,16 @@ def build_conflict_map(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    relation = {}
-    for u in adjacency:
-        ball = set()
-        frontier = deque([(u, 0)])
-        seen = {u}
-        while frontier:
-            node, d = frontier.popleft()
-            if d == h:
-                continue
-            for w in adjacency[node]:
-                if w not in seen:
-                    seen.add(w)
-                    ball.add(w)
-                    frontier.append((w, d + 1))
-        relation[u] = frozenset(ball)
-    return ConflictMap(variant, h, relation)
+    balls = {u: 1 << u for u in adjacency}
+    for _ in range(h):
+        prev = balls
+        balls = {}
+        for u, links in adjacency.items():
+            ball = prev[u]
+            for w in links:
+                ball |= prev[w]
+            balls[u] = ball
+    return ConflictMap(variant, h, {u: ball & ~(1 << u) for u, ball in balls.items()})
 
 
 class Schedule:
@@ -125,22 +125,6 @@ class Schedule:
         return s + w - 1
 
 
-@dataclass
-class DemandState:
-    """Per-node packets buffered and not yet forwarded; the sink entry only grows."""
-
-    remaining: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_tree(cls, tree: SpanningTree) -> "DemandState":
-        remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
-        remaining[tree.sink] = 0
-        return cls(remaining)
-
-    def delivered(self, tree: SpanningTree) -> int:
-        return self.remaining[tree.sink]
-
-
 def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int, int]:
     """Sortable priority key; lower sorts first (= higher priority).
 
@@ -159,26 +143,29 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
 def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) -> Schedule:
     """Produce the greedy traffic-aware schedule for one TDMA cycle.
 
-    Loop until no node has pending demand: snapshot the pending nodes sorted
-    by priority; give the head a window of slots equal to its whole demand,
+    Loop until no node has pending demand: snapshot the pending nodes in
+    priority order; give the head a window of slots equal to its whole demand,
     appended to the cycle; then walk the rest of the snapshot in priority
     order and pack each node whose demand is still nonzero and which does not
     interfere with any occupant of the window, extending the window when the
     packed demand exceeds its current width. Scheduled demand transfers to
     the parent immediately, so it competes in later windows.
+
+    The priority key is static, so the nodes that ever carry demand are
+    sorted once and every snapshot filters that order.
     """
-    state = DemandState.from_tree(tree)
-    remaining = state.remaining
-    sink = tree.sink
+    parent = tree.parent
+    masks = conflicts.masks
+    remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
+    remaining[tree.sink] = 0
     allocations: dict[int, list[tuple[int, int]]] = {u: [] for u in tree.non_sink_nodes()}
+    order = sorted(
+        (u for u in allocations if subtree_demand(tree, u) > 0),
+        key=lambda u: node_priority(tree, u, heuristic),
+    )
     cycle_end = 0
 
-    def pending() -> list[int]:
-        nodes = [u for u in tree.non_sink_nodes() if remaining[u] > 0]
-        nodes.sort(key=lambda u: node_priority(tree, u, heuristic))
-        return nodes
-
-    snapshot = pending()
+    snapshot = [u for u in order if remaining[u] > 0]
     while snapshot:
         head = snapshot[0]
         window_start = cycle_end
@@ -186,26 +173,24 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
         cycle_end = window_start + demand
         allocations[head].append((window_start, demand))
         remaining[head] = 0
-        remaining[tree.parent[head]] += demand
-        occupants = [head]
+        remaining[parent[head]] += demand
+        blocked = masks.get(head, 0)  # nodes conflicting with some occupant
 
         for v in snapshot[1:]:
             demand = remaining[v]  # read live; may differ from snapshot time
-            if demand == 0:
-                continue
-            if any(conflicts.conflicts(v, w) for w in occupants):
+            if demand == 0 or blocked >> v & 1:
                 continue
             width = cycle_end - window_start
             if demand > width:
                 cycle_end += demand - width
             allocations[v].append((window_start, demand))
             remaining[v] = 0
-            remaining[tree.parent[v]] += demand
-            occupants.append(v)
+            remaining[parent[v]] += demand
+            blocked |= masks.get(v, 0)
 
-        snapshot = pending()
+        snapshot = [u for u in order if remaining[u] > 0]
 
-    assert remaining[sink] == tree.total_generated()
+    assert remaining[tree.sink] == tree.total_generated()
     return Schedule(cycle_end, allocations)
 
 
@@ -331,6 +316,8 @@ def parse_schedule(text: str) -> Schedule:
     for ln in lines[1:]:
         parts = ln.split()
         u = int(parts[0])
+        if u in allocations:
+            raise ValueError(f"duplicate schedule line for node {u}")
         intervals = []
         for token in parts[1:]:
             s, w = token.split(":")

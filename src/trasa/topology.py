@@ -8,6 +8,7 @@ generator so that a (n, area, range, seed) tuple pins the topology exactly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Sequence
 
@@ -30,10 +31,10 @@ class NetworkGraph:
         area: tuple[float, float],
         seed: int = -1,
     ):
-        if range_r <= 0:
-            raise ValueError("range_r must be positive")
-        if area[0] <= 0 or area[1] <= 0:
-            raise ValueError("area dimensions must be positive")
+        if not (math.isfinite(range_r) and range_r > 0):
+            raise ValueError("range_r must be finite and positive")
+        if not all(math.isfinite(side) and side > 0 for side in area):
+            raise ValueError("area dimensions must be finite and positive")
         if len(positions) < 1:
             raise ValueError("need at least one node")
         self.positions = tuple((float(x), float(y)) for x, y in positions)
@@ -103,20 +104,7 @@ def within_h_hops(graph: NetworkGraph, u: int, v: int, h: int) -> bool:
         raise ValueError("within_h_hops is defined between distinct nodes")
     if h < 1:
         raise ValueError("h must be >= 1")
-    # BFS from u, cut off at depth h; unreachable pairs fall through to False.
-    seen = {u}
-    frontier = deque([(u, 0)])
-    while frontier:
-        node, d = frontier.popleft()
-        if d == h:
-            continue
-        for w in graph.neighbors(node):
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                frontier.append((w, d + 1))
-    return False
+    return hop_distances_from(graph._adjacency, u).get(v, h + 1) <= h
 
 
 def hop_distances_from(adjacency, source: int) -> dict[int, int]:

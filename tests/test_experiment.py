@@ -95,6 +95,13 @@ def test_config_validation():
         small_config(h=0).validate()
     with pytest.raises(ConfigError):
         small_config(range_r=-0.4).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            small_config(range_r=bad).validate()
+        with pytest.raises(ConfigError):
+            small_config(area=(bad, 1.0)).validate()
+        with pytest.raises(ConfigError):
+            small_config(area=(1.0, bad)).validate()
 
 
 def test_emit_csv_refuses_empty_table(tmp_path):
@@ -151,6 +158,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--nodes", "0", "--runs", "1"]) == 1
     assert main(["--nodes", "5", "--area", "bogus"]) == 1
     assert main(["--nodes", "5", "--rate", "@/no/such/file"]) == 1
+    # non-finite geometry is a config error, not 10,000 edgeless draws
+    assert main(["--nodes", "5", "--range", "nan"]) == 1
+    assert main(["--nodes", "5", "--area", "nanx1"]) == 1
+    assert main(["--nodes", "5", "--area", "1xinf"]) == 1
     # unwritable destination -> I/O failure
     assert main(["--nodes", "5", "--range", "0.6", "--runs", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
     capsys.readouterr()

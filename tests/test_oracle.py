@@ -1,16 +1,18 @@
 import itertools
+import random
 from collections import deque
 
 import numpy as np
 import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
-from trasa.tree import Infeasible, build_spanning_tree
+from trasa.tree import Disconnected, Infeasible, build_spanning_tree
 from trasa.scheduler import Variant, build_conflict_map, run_trasa, validate_schedule
 from trasa.oracle import (
     Coloring,
     InvalidColoring,
     TooLarge,
+    _maximal_independent_sets,
     coloring_to_schedule,
     optimal_schedule_length,
     schedule_to_coloring,
@@ -109,6 +111,38 @@ def test_optimum_never_exceeds_greedy_or_upper_bound():
         greedy = run_trasa(t, cm, 1).length
         _, upper = schedule_length_bounds(t)
         assert opt <= greedy <= upper
+        checked += 1
+
+
+def _reference_maximal_sets(eligible, conflicts):
+    """Every independent combination by size, kept if no other eligible node extends it."""
+    independents = []
+    for r in range(1, len(eligible) + 1):
+        for combo in itertools.combinations(eligible, r):
+            if all(not conflicts.conflicts(a, b) for a, b in itertools.combinations(combo, 2)):
+                independents.append(set(combo))
+    return [
+        tuple(sorted(s))
+        for s in independents
+        if not any(v not in s and all(not conflicts.conflicts(v, w) for w in s) for v in eligible)
+    ]
+
+
+def test_mask_enumeration_matches_pairwise_maximal_sets_in_order():
+    rng = random.Random(88)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(2, 11)
+        g = generate_random_graph(n, (1.0, 1.0), rng.uniform(0.3, 0.8), seed=rng.randrange(2**32))
+        try:
+            t = build_spanning_tree(g, max_children=3)
+        except (Disconnected, Infeasible):
+            continue
+        cm = build_conflict_map(g, t, rng.choice(list(Variant)), rng.randint(1, 3))
+        eligible = [u for u in t.non_sink_nodes() if rng.random() < 0.8]
+        if checked % 3 == 0:
+            rng.shuffle(eligible)  # the order of the input fixes the order of the output
+        assert _maximal_independent_sets(eligible, cm) == _reference_maximal_sets(eligible, cm)
         checked += 1
 
 

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
+from collections import deque
 
 import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph
-from trasa.tree import build_spanning_tree, subtree_demand
+from trasa.tree import Disconnected, Infeasible, build_spanning_tree, subtree_demand
 from trasa.scheduler import (
     CAUSALITY,
     CONFLICT,
@@ -98,6 +100,110 @@ def test_all_links_relation_matches_bfs_distances():
         cm = build_conflict_map(g, t, Variant.ALL_LINKS, h)
         for u, v in itertools.combinations(range(g.n), 2):
             assert cm.conflicts(u, v) == (1 <= dist[u][v] <= h)
+
+
+def _reference_relation(adjacency, h):
+    """Per-node BFS cut off at h hops: the ball around u, without u."""
+    relation = {}
+    for u in adjacency:
+        dist = {u: 0}
+        frontier = deque([u])
+        while frontier:
+            node = frontier.popleft()
+            if dist[node] == h:
+                continue
+            for w in adjacency[node]:
+                if w not in dist:
+                    dist[w] = dist[node] + 1
+                    frontier.append(w)
+        relation[u] = frozenset(dist) - {u}
+    return relation
+
+
+def _tree_links(t):
+    return {
+        u: set(t.children.get(u, [])) | ({t.parent[u]} if u != t.sink else set())
+        for u in t.nodes()
+    }
+
+
+def _random_tree(rng, n_range, rate):
+    """A seeded tree on a random unit-disk graph, redrawing unusable topologies.
+
+    rate "mixed" draws 0..3 packets per node, so some subtrees carry no demand.
+    """
+    while True:
+        n = rng.randint(*n_range)
+        g = generate_random_graph(n, (1.0, 1.0), 1.2 / math.sqrt(n), seed=rng.randrange(2**32))
+        gen_rate = {u: rng.randint(0, 3) for u in range(n)} if rate == "mixed" else rate
+        try:
+            return g, build_spanning_tree(g, max_children=rng.randint(2, 4), gen_rate=gen_rate)
+        except (Disconnected, Infeasible):
+            continue
+
+
+def test_bitmask_conflict_map_matches_per_node_bfs():
+    rng = random.Random(4004)
+    for _ in range(24):
+        g, t = _random_tree(rng, (2, 60), 1)
+        adjacencies = {
+            Variant.ALL_LINKS: {u: g.neighbors(u) for u in range(g.n)},
+            Variant.TREE_ONLY: _tree_links(t),
+        }
+        for variant, adjacency in adjacencies.items():
+            for h in (1, 2, 3, 4):
+                cm = build_conflict_map(g, t, variant, h)
+                expected = _reference_relation(adjacency, h)
+                assert {u: cm.conflicting(u) for u in range(g.n)} == expected
+                for u, v in itertools.permutations(range(g.n), 2):
+                    assert cm.conflicts(u, v) == (v in expected[u])
+                    assert cm.masks[u] >> v & 1 == cm.masks[v] >> u & 1  # symmetric
+
+
+def _reference_run_trasa(tree, conflicts, heuristic):
+    """The snapshot loop that re-sorts pending nodes and tests occupants pairwise."""
+    remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
+    remaining[tree.sink] = 0
+    allocations = {u: [] for u in tree.non_sink_nodes()}
+    cycle_end = 0
+
+    def pending():
+        nodes = [u for u in tree.non_sink_nodes() if remaining[u] > 0]
+        nodes.sort(key=lambda u: node_priority(tree, u, heuristic))
+        return nodes
+
+    snapshot = pending()
+    while snapshot:
+        head = snapshot[0]
+        window_start = cycle_end
+        cycle_end = window_start + remaining[head]
+        allocations[head].append((window_start, remaining[head]))
+        remaining[tree.parent[head]] += remaining[head]
+        remaining[head] = 0
+        occupants = [head]
+        for v in snapshot[1:]:
+            demand = remaining[v]
+            if demand == 0 or any(conflicts.conflicts(v, w) for w in occupants):
+                continue
+            cycle_end = max(cycle_end, window_start + demand)
+            allocations[v].append((window_start, demand))
+            remaining[tree.parent[v]] += demand
+            remaining[v] = 0
+            occupants.append(v)
+        snapshot = pending()
+    return Schedule(cycle_end, allocations)
+
+
+def test_sort_once_bitmask_trasa_matches_resorting_loop():
+    rng = random.Random(1712)
+    cases = list(itertools.product(Variant, (1, 2, 3), (1, 2), (1, 2, 3, "mixed"))) * 5
+    for variant, h, heuristic, rate in cases:
+        g, t = _random_tree(rng, (2, 40), rate)
+        cm = build_conflict_map(g, t, variant, h)
+        got = run_trasa(t, cm, heuristic)
+        expected = _reference_run_trasa(t, cm, heuristic)
+        assert dump_schedule(got, t) == dump_schedule(expected, t), (variant, h, heuristic, rate, g.n)
+        assert got.allocations == expected.allocations
 
 
 def test_trasa_chain_hand_trace(chain):
@@ -210,15 +316,9 @@ def test_validator_reports_node_outside_the_tree(chain):
     assert "not in the tree" in report.violations[0].detail
 
 
-def test_demand_state_sink_counter_meters_delivery(chain):
-    from trasa.scheduler import DemandState
-
-    _, t, _ = chain
-    state = DemandState.from_tree(t)
-    assert state.remaining == {0: 0, 1: 1, 2: 1}
-    assert state.delivered(t) == 0
-    state.remaining[0] += 2  # the sink's entry only ever grows
-    assert state.delivered(t) == t.total_generated()
+def test_parse_schedule_rejects_duplicate_node_lines():
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_schedule("schedule 3\n1 0:1\n1 2:1\n")
 
 
 def test_schedule_rejects_overlapping_intervals():

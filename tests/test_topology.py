@@ -148,6 +148,17 @@ def test_parse_graph_rejects_malformed_input():
         parse_graph("nonsense 1 0.4 1.0 1.0 5\n0 0.1 0.1\n")
 
 
+def test_non_finite_geometry_is_rejected():
+    for range_r in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="range_r"):
+            NetworkGraph([(0.0, 0.0)], range_r, (1.0, 1.0))
+    for area in ((float("nan"), 1.0), (1.0, float("inf")), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="area"):
+            NetworkGraph([(0.0, 0.0)], 0.4, area)
+    with pytest.raises(ValueError):
+        parse_graph("graph 1 nan 1.0 1.0 5\n0 0.1 0.1\n")
+
+
 def test_coincident_positions_are_linked():
     g = NetworkGraph([(0.5, 0.5), (0.5, 0.5)], 0.4, (1.0, 1.0))
     assert g.edges() == [(0, 1)]
