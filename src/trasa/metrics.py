@@ -1,17 +1,26 @@
-"""Slot-by-slot replay of a schedule and the derived evaluation measures.
+"""Event-driven replay of a schedule and the derived evaluation measures.
 
 The replay tracks individual packets (tagged with their origin) through
 per-node FIFO queues: a node's own packets are queued at cycle start, ahead
 of anything it later receives, and each occupied slot forwards exactly one
-packet to the parent. Buffers are sampled after each slot resolves.
+packet to the parent. Only the occupied slots are visited, so a replay costs
+O(transmissions + n), not O(slots × n). A buffer level is recorded as a
+(slot, level) change point when a node's level after a slot resolves differs
+from its last one; `SimTrace.buffer_series` expands the change points into
+per-slot levels only when it is read. The same pass serves
+`scheduler.validate_schedule`, which turns its faults into violations.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .scheduler import Schedule
 from .tree import SpanningTree, subtree_demand
+
+if TYPE_CHECKING:
+    from .scheduler import Schedule
 
 
 class CausalityBreach(RuntimeError):
@@ -20,11 +29,30 @@ class CausalityBreach(RuntimeError):
 
 @dataclass
 class SimTrace:
-    """Raw replay record: buffer levels, sink arrivals, awake-interval counts."""
+    """Raw replay record: buffer change points, sink arrivals, awake-interval counts.
 
-    buffer_series: dict[int, list[int]]
+    `buffer_changes[u]` holds (slot, level) points for each non-sink node
+    u: u's level after that slot, kept until the next point's slot. The
+    first point is at slot 0; each later one marks a slot after which the
+    level differs. `length` is the cycle length the points span.
+    """
+
+    buffer_changes: dict[int, list[tuple[int, int]]]
     packet_arrivals: list[tuple[int, int]]  # (origin node, arrival slot at sink)
     awake_intervals: dict[int, int]
+    length: int
+
+    @property
+    def buffer_series(self) -> dict[int, list[int]]:
+        """Each non-sink node's buffer level after every slot of the cycle."""
+        series: dict[int, list[int]] = {}
+        for u, points in self.buffer_changes.items():
+            levels: list[int] = []
+            ends = [slot for slot, _ in points[1:]] + [self.length]
+            for (start, level), end in zip(points, ends):
+                levels.extend([level] * (end - start))
+            series[u] = levels
+        return series
 
 
 @dataclass
@@ -36,8 +64,62 @@ class Metrics:
     total_switches: int
 
 
-def _interval_count(slots: set[int]) -> int:
-    return sum(1 for s in slots if s - 1 not in slots)
+def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
+    """Replay one cycle over its occupied slots.
+
+    Returns each non-sink node's buffer change points, the sink arrivals
+    (origin, slot) and the faults. A fault (slot, node) is a transmission
+    that moves nothing: one by the sink, by a node outside the tree, or
+    from an empty buffer.
+    """
+    parent = tree.parent
+    sink = tree.sink
+    queues = {u: deque([u] * tree.gen_rate[u]) for u in tree.non_sink_nodes()}
+    changes = {u: [(0, len(queue))] for u, queue in queues.items()}
+    arrivals: list[tuple[int, int]] = []
+    faults: list[tuple[int, int]] = []
+
+    for slot, txs in sorted(schedule.transmitters.items()):
+        moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
+        touched: list[int] = []
+        for u in sorted(txs):
+            queue = queues.get(u)
+            if not queue:  # no queue (sink or stranger) or an empty one
+                faults.append((slot, u))
+                continue
+            moved.append((parent[u], queue.popleft()))
+            touched.append(u)
+        for receiver, packet in moved:
+            if receiver == sink:
+                arrivals.append((packet, slot))
+            else:
+                queues[receiver].append(packet)
+                touched.append(receiver)
+        for u in touched:  # levels once the slot has resolved
+            points = changes[u]
+            level = len(queues[u])
+            if points[-1][0] == slot:  # the cycle-start point, or u seen twice
+                points[-1] = (slot, level)
+            elif points[-1][1] != level:
+                points.append((slot, level))
+
+    return changes, arrivals, faults
+
+
+def _awake_intervals(schedule: Schedule, tree: SpanningTree) -> dict[int, int]:
+    """Runs of consecutive slots in which each node or one of its children transmits."""
+    counts = {}
+    for u in tree.nodes():
+        spans = sorted(
+            iv for v in [u, *tree.children.get(u, [])] for iv in schedule.allocations.get(v, [])
+        )
+        runs, end = 0, -1
+        for start, width in spans:
+            if start > end:
+                runs += 1
+            end = max(end, start + width)
+        counts[u] = runs
+    return counts
 
 
 def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
@@ -48,38 +130,14 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     or let the sink or a node outside the tree transmit; schedules produced
     by the greedy scheduler never do.
     """
-    non_sink = tree.non_sink_nodes()
-    queues: dict[int, list[int]] = {u: [u] * tree.gen_rate[u] for u in non_sink}
-    strangers = [u for u in sorted(schedule.allocations) if u not in queues]
+    strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    buffer_series: dict[int, list[int]] = {u: [] for u in non_sink}
-    arrivals: list[tuple[int, int]] = []
-    awake: dict[int, set[int]] = {u: set() for u in tree.nodes()}
-
-    for slot in range(schedule.length):
-        txs = sorted(schedule.transmitters.get(slot, frozenset()))
-        moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
-        for u in txs:
-            if not queues[u]:
-                raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
-            packet = queues[u].pop(0)
-            moved.append((tree.parent[u], packet))
-            awake[u].add(slot)
-            awake[tree.parent[u]].add(slot)
-        for receiver, packet in moved:
-            if receiver == tree.sink:
-                arrivals.append((packet, slot))
-            else:
-                queues[receiver].append(packet)
-        for u in non_sink:
-            buffer_series[u].append(len(queues[u]))
-
-    return SimTrace(
-        buffer_series=buffer_series,
-        packet_arrivals=arrivals,
-        awake_intervals={u: _interval_count(awake[u]) for u in tree.nodes()},
-    )
+    changes, arrivals, faults = _replay(schedule, tree)
+    if faults:
+        slot, u = faults[0]
+        raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
+    return SimTrace(changes, arrivals, _awake_intervals(schedule, tree), schedule.length)
 
 
 def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
@@ -87,15 +145,16 @@ def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> 
 
     slot_reuse is total packet-transmissions per slot; avg_delay counts slots
     from cycle start, 1-based (a packet arriving in the first slot has delay 1).
+    max_buffer is the highest level after any slot: every change point holds
+    for at least one slot of a non-empty cycle.
     """
     length = schedule.length
     total_tx = sum(subtree_demand(tree, u) for u in tree.non_sink_nodes())
     slot_reuse = total_tx / length if length else 0.0
     delays = [slot + 1 for _, slot in trace.packet_arrivals]
     avg_delay = sum(delays) / len(delays) if delays else 0.0
-    max_buffer = max(
-        (lvl for series in trace.buffer_series.values() for lvl in series), default=0
-    )
+    levels = (lvl for points in trace.buffer_changes.values() for _, lvl in points)
+    max_buffer = max(levels, default=0) if trace.length else 0
     return Metrics(
         cycle_length=length,
         slot_reuse=slot_reuse,

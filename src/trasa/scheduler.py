@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .metrics import _replay
 from .topology import NetworkGraph
 from .tree import SpanningTree, subtree_demand
 
@@ -238,10 +239,11 @@ def validate_schedule(
     """Check a schedule for interference, causality and delivery violations.
 
     Violations are data, not exceptions: an empty report certifies the
-    schedule. Causality and delivery are checked by a counting replay where
-    every transmitter forwards one buffered packet per occupied slot. A
-    schedule naming nodes outside the tree gets one causality violation per
-    such node and no replay.
+    schedule. A slot's transmitters are tested pairwise only when the OR of
+    their conflict masks hits one of them. Causality and delivery come from
+    the packet replay of `metrics`, where every transmitter forwards one
+    buffered packet per occupied slot. A schedule naming nodes outside the
+    tree gets one causality violation per such node and no replay.
     """
     report = ValidationReport()
     strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
@@ -251,8 +253,16 @@ def validate_schedule(
             Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree")
         )
 
-    for slot in range(schedule.length):
-        txs = sorted(schedule.transmitters.get(slot, frozenset()))
+    masks = conflicts.masks
+    for slot, txs in sorted(schedule.transmitters.items()):
+        present = blocked = 0
+        for u in txs:
+            if u in masks:  # mask keys are node ids >= 0; others never conflict
+                present |= 1 << u
+                blocked |= masks[u]
+        if not blocked & present:
+            continue
+        txs = sorted(txs)
         for i, u in enumerate(txs):
             for v in txs[i + 1 :]:
                 if conflicts.conflicts(u, v):
@@ -261,32 +271,17 @@ def validate_schedule(
                     )
 
     if strangers:
-        return report  # a stranger has no parent, so the counting replay cannot route it
-    buffers = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
-    delivered = 0
-    for slot in range(schedule.length):
-        arrivals: dict[int, int] = {}
-        for u in sorted(schedule.transmitters.get(slot, frozenset())):
-            if u == tree.sink:
-                report.violations.append(
-                    Violation(CAUSALITY, slot, (u,), "the sink must never transmit")
-                )
-                continue
-            if buffers[u] < 1:
-                # nothing to forward: flag it and let the delivery count expose the gap
-                report.violations.append(
-                    Violation(CAUSALITY, slot, (u,), f"node {u} transmits with an empty buffer in slot {slot}")
-                )
-                continue
-            buffers[u] -= 1
-            arrivals[tree.parent[u]] = arrivals.get(tree.parent[u], 0) + 1
-        # Receive after the slot's transmissions resolve.
-        for p, count in arrivals.items():
-            if p == tree.sink:
-                delivered += count
-            else:
-                buffers[p] += count
+        return report  # a stranger has no parent, so the replay cannot route it
+    _, arrivals, faults = _replay(schedule, tree)
+    for slot, u in faults:
+        if u == tree.sink:
+            detail = "the sink must never transmit"
+        else:
+            # nothing to forward: flag it and let the delivery count expose the gap
+            detail = f"node {u} transmits with an empty buffer in slot {slot}"
+        report.violations.append(Violation(CAUSALITY, slot, (u,), detail))
 
+    delivered = len(arrivals)
     expected = tree.total_generated()
     if delivered != expected:
         report.violations.append(

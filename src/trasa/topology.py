@@ -38,6 +38,8 @@ class NetworkGraph:
         if len(positions) < 1:
             raise ValueError("need at least one node")
         self.positions = tuple((float(x), float(y)) for x, y in positions)
+        if not all(math.isfinite(c) for xy in self.positions for c in xy):
+            raise ValueError("node positions must be finite")
         self.range_r = float(range_r)
         self.area = (float(area[0]), float(area[1]))
         self.seed = int(seed)
@@ -72,8 +74,9 @@ def _derive_adjacency(
     positions: tuple[tuple[float, float], ...], range_r: float
 ) -> list[frozenset[int]]:
     pts = np.asarray(positions, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     close = dist2 < range_r * range_r
     np.fill_diagonal(close, False)
     return [frozenset(np.flatnonzero(close[i]).tolist()) for i in range(len(positions))]

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from trasa.topology import NetworkGraph
+from trasa.topology import NetworkGraph, generate_random_graph
+from trasa.tree import Disconnected, Infeasible, build_spanning_tree
 
 
 def chain_graph(n: int) -> NetworkGraph:
@@ -22,3 +23,18 @@ def star_graph(n: int) -> NetworkGraph:
 @pytest.fixture
 def chain3() -> NetworkGraph:
     return chain_graph(3)
+
+
+def random_tree(rng, n_range, rate):
+    """A seeded tree on a random unit-disk graph, redrawing unusable topologies.
+
+    rate "mixed" draws 0..3 packets per node, so some subtrees carry no demand.
+    """
+    while True:
+        n = rng.randint(*n_range)
+        g = generate_random_graph(n, (1.0, 1.0), 1.2 / math.sqrt(n), seed=rng.randrange(2**32))
+        gen_rate = {u: rng.randint(0, 3) for u in range(n)} if rate == "mixed" else rate
+        try:
+            return g, build_spanning_tree(g, max_children=rng.randint(2, 4), gen_rate=gen_rate)
+        except (Disconnected, Infeasible):
+            continue

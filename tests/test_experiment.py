@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,18 @@ def test_cli_stdout_default(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("n,run_index,seed,")
+
+
+def test_python_dash_m_trasa_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "trasa", "--nodes", "5", "--runs", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith(",".join(CSV_COLUMNS) + "\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,10 +1,24 @@
+import itertools
+import random
+
 import pytest
 
-from trasa.tree import build_spanning_tree
-from trasa.scheduler import Schedule, Variant, build_conflict_map, run_trasa
-from trasa.metrics import CausalityBreach, compute_metrics, replay_schedule
+from trasa.experiment_cli import ExperimentConfig, sample_instance
+from trasa.tree import build_spanning_tree, subtree_demand
+from trasa.scheduler import (
+    CAUSALITY,
+    CONFLICT,
+    DELIVERY,
+    Schedule,
+    Variant,
+    Violation,
+    build_conflict_map,
+    run_trasa,
+    validate_schedule,
+)
+from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule
 
-from conftest import chain_graph, star_graph
+from conftest import chain_graph, random_tree, star_graph
 
 
 @pytest.fixture
@@ -92,3 +106,191 @@ def test_empty_schedule_yields_zero_metrics():
     assert m.avg_delay == 0.0
     assert m.max_buffer == 0
     assert m.total_switches == 0
+
+
+# --- the event-driven kernel against the dense slot-by-slot rule ---------------
+
+
+def _reference_replay(schedule, tree):
+    """The dense replay: every slot of the cycle, every node's buffer sampled after it."""
+    non_sink = tree.non_sink_nodes()
+    queues = {u: [u] * tree.gen_rate[u] for u in non_sink}
+    strangers = [u for u in sorted(schedule.allocations) if u not in queues]
+    if strangers:
+        raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
+    buffer_series = {u: [] for u in non_sink}
+    arrivals = []
+    awake = {u: set() for u in tree.nodes()}
+    for slot in range(schedule.length):
+        moved = []
+        for u in sorted(schedule.transmitters.get(slot, frozenset())):
+            if not queues[u]:
+                raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
+            moved.append((tree.parent[u], queues[u].pop(0)))
+            awake[u].add(slot)
+            awake[tree.parent[u]].add(slot)
+        for receiver, packet in moved:
+            if receiver == tree.sink:
+                arrivals.append((packet, slot))
+            else:
+                queues[receiver].append(packet)
+        for u in non_sink:
+            buffer_series[u].append(len(queues[u]))
+    intervals = {u: sum(1 for s in awake[u] if s - 1 not in awake[u]) for u in tree.nodes()}
+    return buffer_series, arrivals, intervals
+
+
+def _reference_metrics(reference, schedule, tree):
+    buffer_series, arrivals, intervals = reference
+    length = schedule.length
+    total_tx = sum(subtree_demand(tree, u) for u in tree.non_sink_nodes())
+    delays = [slot + 1 for _, slot in arrivals]
+    return Metrics(
+        cycle_length=length,
+        slot_reuse=total_tx / length if length else 0.0,
+        avg_delay=sum(delays) / len(delays) if delays else 0.0,
+        max_buffer=max((lvl for series in buffer_series.values() for lvl in series), default=0),
+        total_switches=sum(intervals.values()),
+    )
+
+
+def _reference_validate(schedule, conflicts, tree):
+    """Pairwise conflicts in every slot, then a counting replay of causality and delivery."""
+    violations = []
+    strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
+    for u in strangers:
+        first_slot = schedule.allocations[u][0][0]
+        violations.append(Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree"))
+    for slot in range(schedule.length):
+        txs = sorted(schedule.transmitters.get(slot, frozenset()))
+        for i, u in enumerate(txs):
+            for v in txs[i + 1 :]:
+                if conflicts.conflicts(u, v):
+                    violations.append(Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}"))
+    if strangers:
+        return violations
+    buffers = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
+    delivered = 0
+    for slot in range(schedule.length):
+        arrivals = {}
+        for u in sorted(schedule.transmitters.get(slot, frozenset())):
+            if u == tree.sink:
+                violations.append(Violation(CAUSALITY, slot, (u,), "the sink must never transmit"))
+                continue
+            if buffers[u] < 1:
+                violations.append(
+                    Violation(CAUSALITY, slot, (u,), f"node {u} transmits with an empty buffer in slot {slot}")
+                )
+                continue
+            buffers[u] -= 1
+            arrivals[tree.parent[u]] = arrivals.get(tree.parent[u], 0) + 1
+        for p, count in arrivals.items():
+            if p == tree.sink:
+                delivered += count
+            else:
+                buffers[p] += count
+    expected = tree.total_generated()
+    if delivered != expected:
+        violations.append(Violation(DELIVERY, None, (), f"sink received {delivered} of {expected} packets"))
+    return violations
+
+
+def _broken_schedules(rng, schedule, graph, tree, conflicts):
+    """An empty and a shifted schedule, then copies with one fault each and with all at once."""
+    base = {u: list(ivs) for u, ivs in schedule.allocations.items()}
+    length = schedule.length
+    edits = []
+    if base:
+        u = rng.choice(sorted(base))
+        dropped = base[u][:]
+        del dropped[rng.randrange(len(dropped))]
+        edits.append({u: dropped})  # a dropped interval
+        slot = rng.choice(sorted(schedule.transmitters))
+        busy = schedule.transmitters[slot]
+        rivals = sorted(
+            v for w in busy for v in conflicts.conflicting(w) if v != tree.sink and v not in busy
+        )
+        if rivals:
+            v = rng.choice(rivals)
+            edits.append({v: base.get(v, []) + [(slot, 1)]})  # a conflicting extra transmission
+        edits.append({tree.sink: [(rng.randrange(length), 1)]})  # the sink transmits
+        edits.append({graph.n + 3: [(rng.randrange(length), 1)], -1: [(0, 1)]})  # strangers
+    idle = [u for u in tree.non_sink_nodes() if u not in base]
+    if idle and length:
+        edits.append({rng.choice(idle): [(rng.randrange(length), 1)]})  # nothing to send
+    for u in tree.non_sink_nodes():
+        free = [s for s in range(length) if u not in schedule.transmitters.get(s, ())]
+        if base.get(u) and free:  # one send more than the node ever holds
+            edits.append({u: base[u] + [(rng.choice(free), 1)]})
+            break
+    schedules = [
+        Schedule(0, {}),  # nothing sent: buffers never move
+        Schedule(length + 1, {u: [(s + 1, w) for s, w in ivs] for u, ivs in base.items()}),
+    ]
+    schedules += [Schedule(length, {**base, **edit}) for edit in edits]
+    everything, edited = dict(base), set()
+    for edit in edits:
+        if edited.isdisjoint(edit):
+            everything.update(edit)
+            edited.update(edit)
+    schedules.append(Schedule(length, everything))
+    return schedules
+
+
+def test_event_replay_and_validation_match_dense_reference():
+    rng = random.Random(5005)
+    cases = list(itertools.product(Variant, (1, 2, 3), (1, 2, 3, 4, "mixed"))) * 7
+    checked = broken = 0
+    for variant, h, rate in cases:
+        g, t = random_tree(rng, (2, 40), rate)
+        cm = build_conflict_map(g, t, variant, h)
+        good = run_trasa(t, cm, rng.choice((1, 2)))
+        for s in [good] + _broken_schedules(rng, good, g, t, cm):
+            checked += 1
+            violations = validate_schedule(s, cm, t).violations
+            assert violations == _reference_validate(s, cm, t)
+            broken += bool(violations)
+            try:
+                expected = _reference_replay(s, t)
+            except CausalityBreach as exc:
+                with pytest.raises(CausalityBreach) as caught:
+                    replay_schedule(s, t)
+                assert str(caught.value) == str(exc)
+                continue
+            trace = replay_schedule(s, t)
+            assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected
+            assert compute_metrics(trace, s, t) == _reference_metrics(expected, s, t)
+    assert len(cases) >= 200 and broken > len(cases) * 3
+
+
+def test_every_violation_kind_is_reported_in_order(chain_run):
+    t, _ = chain_run
+    cm = build_conflict_map(chain_graph(3), t, Variant.ALL_LINKS, 2)
+    # nodes 1 and 2 collide in slot 0; in slot 1 the sink sends and node 2 has
+    # nothing left; node 1 never forwards node 2's packet
+    s = Schedule(3, {0: [(1, 1)], 1: [(0, 1)], 2: [(0, 2)]})
+    violations = validate_schedule(s, cm, t).violations
+    assert [(v.kind, v.slot, v.nodes) for v in violations] == [
+        (CONFLICT, 0, (1, 2)),
+        (CONFLICT, 1, (0, 2)),
+        (CAUSALITY, 1, (0,)),
+        (CAUSALITY, 1, (2,)),
+        (DELIVERY, None, ()),
+    ]
+    assert violations == _reference_validate(s, cm, t)
+
+
+def test_replay_records_work_per_transmission():
+    config = ExperimentConfig(
+        n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
+        variant=Variant.TREE_ONLY, gen_rate=4, runs=1,
+    )
+    g, t, _ = sample_instance(config, 500, 0)
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
+    trace = replay_schedule(s, t)
+    sends = sum(len(txs) for txs in s.transmitters.values())
+    receives = sends - len(trace.packet_arrivals)  # every packet not at the sink lands in a buffer
+    points = sum(len(p) for p in trace.buffer_changes.values())
+    assert points <= sends + receives + g.n
+    assert points * 20 < s.length * (g.n - 1)  # far below one sample per slot and node
+    assert compute_metrics(trace, s, t).max_buffer == max(max(lv) for lv in trace.buffer_series.values())

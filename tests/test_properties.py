@@ -1,17 +1,22 @@
 """Invariant checks over randomized instances, seeded for reproducibility."""
 
 import itertools
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trasa.topology import dump_graph, generate_random_graph, is_connected, within_h_hops
+from trasa.experiment_cli import ConfigError, _parse_rate
+from trasa.topology import dump_graph, generate_random_graph, is_connected, parse_graph, within_h_hops
 from trasa.tree import Infeasible, build_spanning_tree, subtree_demand
 from trasa.scheduler import (
     Variant,
     build_conflict_map,
     dump_schedule,
+    parse_schedule,
     run_trasa,
     schedule_length_bounds,
     validate_schedule,
@@ -182,3 +187,104 @@ def test_coloring_round_trip_properties():
         for u, c in coloring.colors.items():
             by_color[c] = max(by_color.get(c, 0), subtree_demand(t, u))
         assert rebuilt.length == sum(by_color.values())
+
+
+# --- parser fuzzing: bad text is a ValueError (ConfigError for rates) or a valid object
+# Integers stay small: a Schedule holds one entry per occupied slot, so a huge
+# interval width tests memory, not parsing.
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "0x10", "1_0", "+2", "٣", "", "5.0"]),
+)
+_TOKENS = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["graph", "schedule", ":", "0:1", "1:0", "2:1:1", "a"]),
+    st.tuples(_NUMBERS, _NUMBERS).map(":".join),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _perturbed(draw, lines):
+    """A well-formed file with a few tokens replaced or appended and lines dropped or doubled."""
+    lines = [list(line) for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(line)))
+        line[at:at + 1] = [draw(_TOKENS)]
+    if len(lines) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at:at + 1] = [] if draw(st.booleans()) else [lines[at], lines[at]]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@st.composite
+def _graph_texts(draw):
+    n = draw(st.integers(0, 4))
+    coords = st.one_of(st.floats(0, 1).map(repr), _NUMBERS)
+    lines = [["graph", str(n), "0.4", "1.0", "1.0", "7"]]
+    lines += [[str(i), draw(coords), draw(coords)] for i in range(n)]
+    return draw(_perturbed(lines))
+
+
+@st.composite
+def _schedule_texts(draw):
+    length = draw(st.integers(0, 8))
+    lines = [["schedule", str(length)]]
+    for u in range(1, draw(st.integers(1, 4))):
+        start = draw(st.integers(0, 8))
+        lines.append([str(u), f"{start}:{draw(st.integers(1, 4))}"])
+    return draw(_perturbed(lines))
+
+
+_RAW_TEXTS = st.one_of(
+    st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=6).map("\n".join),
+    st.text(max_size=60),
+)
+
+
+def _parse_or_reject(parse, text, rejected=ValueError):
+    try:
+        return parse(text)
+    except rejected:
+        return None  # any other exception escapes and fails the test
+
+
+@given(text=st.one_of(_graph_texts(), _RAW_TEXTS))
+@settings(max_examples=150, deadline=None)
+def test_parse_graph_rejects_or_returns_a_valid_graph(text):
+    graph = _parse_or_reject(parse_graph, text)
+    if graph is not None:
+        assert graph.n >= 1 and math.isfinite(graph.range_r) and graph.range_r > 0
+        assert all(math.isfinite(c) for xy in graph.positions for c in xy)
+        assert parse_graph(dump_graph(graph)).positions == graph.positions
+
+
+@given(text=st.one_of(_schedule_texts(), _RAW_TEXTS))
+@settings(max_examples=150, deadline=None)
+def test_parse_schedule_rejects_or_returns_a_valid_schedule(text):
+    schedule = _parse_or_reject(parse_schedule, text)
+    if schedule is not None:
+        occupied = sum(len(txs) for txs in schedule.transmitters.values())
+        assert occupied == sum(schedule.total_width(u) for u in schedule.allocations)
+        assert all(0 <= slot < schedule.length for slot in schedule.transmitters)
+
+
+@given(
+    text=_RAW_TEXTS.filter(lambda t: not t.startswith("@")),
+    content=st.one_of(_RAW_TEXTS.map(str.encode), st.binary(max_size=40)),
+)
+@settings(max_examples=100, deadline=None)
+def test_parse_rate_rejects_or_returns_valid_rates(text, content):
+    value = _parse_or_reject(_parse_rate, text, ConfigError)
+    assert value is None or (type(value[0]) is int and value[1] is None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rates.txt"
+        path.write_bytes(content)
+        for spec in (f"@{path}", f"@{tmp}", f"@{path}.missing"):
+            value = _parse_or_reject(_parse_rate, spec, ConfigError)
+            if value is not None:
+                assert value[0] == spec
+                assert all(type(u) is int and type(r) is int and r >= 0 for u, r in value[1].items())

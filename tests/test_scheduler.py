@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph
-from trasa.tree import Disconnected, Infeasible, build_spanning_tree, subtree_demand
+from trasa.tree import build_spanning_tree, subtree_demand
 from trasa.scheduler import (
     CAUSALITY,
     CONFLICT,
@@ -22,7 +22,7 @@ from trasa.scheduler import (
     validate_schedule,
 )
 
-from conftest import chain_graph, star_graph
+from conftest import chain_graph, random_tree, star_graph
 
 
 @pytest.fixture
@@ -127,25 +127,10 @@ def _tree_links(t):
     }
 
 
-def _random_tree(rng, n_range, rate):
-    """A seeded tree on a random unit-disk graph, redrawing unusable topologies.
-
-    rate "mixed" draws 0..3 packets per node, so some subtrees carry no demand.
-    """
-    while True:
-        n = rng.randint(*n_range)
-        g = generate_random_graph(n, (1.0, 1.0), 1.2 / math.sqrt(n), seed=rng.randrange(2**32))
-        gen_rate = {u: rng.randint(0, 3) for u in range(n)} if rate == "mixed" else rate
-        try:
-            return g, build_spanning_tree(g, max_children=rng.randint(2, 4), gen_rate=gen_rate)
-        except (Disconnected, Infeasible):
-            continue
-
-
 def test_bitmask_conflict_map_matches_per_node_bfs():
     rng = random.Random(4004)
     for _ in range(24):
-        g, t = _random_tree(rng, (2, 60), 1)
+        g, t = random_tree(rng, (2, 60), 1)
         adjacencies = {
             Variant.ALL_LINKS: {u: g.neighbors(u) for u in range(g.n)},
             Variant.TREE_ONLY: _tree_links(t),
@@ -198,7 +183,7 @@ def test_sort_once_bitmask_trasa_matches_resorting_loop():
     rng = random.Random(1712)
     cases = list(itertools.product(Variant, (1, 2, 3), (1, 2), (1, 2, 3, "mixed"))) * 5
     for variant, h, heuristic, rate in cases:
-        g, t = _random_tree(rng, (2, 40), rate)
+        g, t = random_tree(rng, (2, 40), rate)
         cm = build_conflict_map(g, t, variant, h)
         got = run_trasa(t, cm, heuristic)
         expected = _reference_run_trasa(t, cm, heuristic)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -157,6 +158,19 @@ def test_non_finite_geometry_is_rejected():
             NetworkGraph([(0.0, 0.0)], 0.4, area)
     with pytest.raises(ValueError):
         parse_graph("graph 1 nan 1.0 1.0 5\n0 0.1 0.1\n")
+    for x, y in ((float("nan"), 0.5), (0.5, float("inf")), (float("-inf"), 0.0)):
+        with pytest.raises(ValueError, match="positions"):
+            NetworkGraph([(0.0, 0.0), (x, y)], 0.4, (1.0, 1.0))
+    for coords in ("nan 0.5", "0.5 inf", "-inf -inf"):
+        with pytest.raises(ValueError, match="positions"):
+            parse_graph(f"graph 1 0.4 1 1 0\n0 {coords}\n")
+
+
+def test_far_apart_finite_positions_are_not_linked():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = NetworkGraph([(1e308, 0.0), (-1e308, 0.0), (1e200, 1e200), (1e200, 1e200)], 0.4, (1.0, 1.0))
+    assert g.edges() == [(2, 3)]
 
 
 def test_coincident_positions_are_linked():
