@@ -29,8 +29,9 @@ schedule = run_trasa(tree, conflicts, heuristic=1)
 
 lower, upper = schedule_length_bounds(tree)
 print(f"cycle length {schedule.length} (bounds: {lower}..{upper})")
+occupied = dict(schedule.slots())
 for slot in range(schedule.length):
-    txs = sorted(schedule.transmitters.get(slot, ()))
+    txs = list(occupied.get(slot, ()))
     print(f"  slot {slot}: transmitters {txs}")
 
 report = validate_schedule(schedule, conflicts, tree)

@@ -23,7 +23,7 @@ from .scheduler import (
     schedule_length_bounds,
     write_schedule_file,
 )
-from .topology import NetworkGraph, generate_random_graph
+from .topology import SINK, NetworkGraph, generate_random_graph
 from .tree import Disconnected, Infeasible, SpanningTree, build_spanning_tree, write_tree_file
 
 
@@ -95,13 +95,15 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if isinstance(self.gen_rate, int) and self.gen_rate < 1:
             raise ConfigError("uniform rate must be >= 1")
+        if not isinstance(self.gen_rate, int) and self.rates_by_node is None:
+            raise ConfigError(f"unresolved rate setting {self.gen_rate!r}")
+        top = max(self.n_values)
+        bad = sorted(u for u in self.rates_by_node or () if u == SINK or not 0 <= u < top)
+        if bad:
+            raise ConfigError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
 
     def rate_for_tree(self):
-        if self.rates_by_node is not None:
-            return self.rates_by_node
-        if isinstance(self.gen_rate, int):
-            return self.gen_rate
-        raise ConfigError(f"unresolved rate setting {self.gen_rate!r}")
+        return self.gen_rate if self.rates_by_node is None else self.rates_by_node
 
     def rate_token(self) -> str:
         return str(self.gen_rate)

@@ -79,10 +79,10 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
     arrivals: list[tuple[int, int]] = []
     faults: list[tuple[int, int]] = []
 
-    for slot, txs in sorted(schedule.transmitters.items()):
+    for slot, txs in schedule.slots():
         moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
         touched: list[int] = []
-        for u in sorted(txs):
+        for u in txs:
             queue = queues.get(u)
             if not queue:  # no queue (sink or stranger) or an empty one
                 faults.append((slot, u))

@@ -116,7 +116,7 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
 def validate_coloring(
     coloring: Coloring, conflicts: ConflictMap, tree: SpanningTree
 ) -> bool:
-    """True iff colors are positive, distinct within h hops, and below the parent's.
+    """True iff colors are positive ints on non-sink tree nodes, distinct within h hops, and below the parent's.
 
     Uncolored nodes (legitimate for zero-demand nodes) are skipped; the sink
     never carries a color and sink children have no upper constraint.
@@ -125,7 +125,7 @@ def validate_coloring(
     if tree.sink in colors:
         return False
     for u, c in colors.items():
-        if not isinstance(c, int) or c < 1:
+        if type(c) is not int or c < 1:  # bool is an int subclass, not a color
             return False
     nodes = [u for u in colors if u in tree.depth]
     if len(nodes) != len(colors):
@@ -141,35 +141,22 @@ def validate_coloring(
 
 
 def coloring_to_schedule(
-    coloring: Coloring,
-    tree: SpanningTree,
-    conflicts: ConflictMap | None = None,
+    coloring: Coloring, tree: SpanningTree, conflicts: ConflictMap
 ) -> Schedule:
     """Build a schedule from a precedence coloring, color classes in increasing order.
 
     Each color class gets a region as wide as its largest subtree demand, and
     every member transmits a contiguous block of its own demand at the region
-    start, so the total length is the sum of the per-class maxima. Passing
-    the conflict map enables full input validation; without it only the
-    tree-side invariants can be checked.
+    start, so the total length is the sum of the per-class maxima. The
+    coloring must pass `validate_coloring` and color every node with traffic.
     """
     colors = coloring.colors
     demands = {u: subtree_demand(tree, u) for u in tree.non_sink_nodes()}
     for u in tree.non_sink_nodes():
         if demands[u] > 0 and u not in colors:
             raise InvalidColoring(f"node {u} has traffic but no color")
-    if conflicts is not None:
-        if not validate_coloring(coloring, conflicts, tree):
-            raise InvalidColoring("coloring fails the h-hop or parent-order invariant")
-    else:
-        if tree.sink in colors or any(
-            not isinstance(c, int) or c < 1 for c in colors.values()
-        ):
-            raise InvalidColoring("colors must be positive integers on non-sink nodes")
-        for u in colors:
-            p = tree.parent.get(u)
-            if p is not None and p != tree.sink and p in colors and colors[u] >= colors[p]:
-                raise InvalidColoring(f"node {u} is not colored below its parent {p}")
+    if not validate_coloring(coloring, conflicts, tree):
+        raise InvalidColoring("coloring fails the color, tree, h-hop or parent-order invariant")
 
     allocations: dict[int, list[tuple[int, int]]] = {}
     cursor = 0

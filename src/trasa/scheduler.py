@@ -9,6 +9,7 @@ node is scheduled, which is what makes the allocation traffic-proportional.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,7 +84,7 @@ def build_conflict_map(
 
 
 class Schedule:
-    """A TDMA cycle: per-node allocation intervals plus the per-slot inverse map.
+    """A TDMA cycle as per-node allocation intervals.
 
     Each (start, width) interval means the node transmits one packet in each
     of the `width` consecutive slots.
@@ -105,15 +106,29 @@ class Schedule:
                 prev_end = s + w
             if ivs:
                 self.allocations[u] = ivs
-        self.transmitters: dict[int, frozenset[int]] = self._invert()
 
-    def _invert(self) -> dict[int, frozenset[int]]:
-        per_slot: dict[int, set[int]] = {}
+    def slots(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (slot, transmitters sorted by node id) for each occupied slot, in slot order.
+
+        Sweeps the intervals' start and stop events, dropping finished nodes
+        before adding new ones, so memory grows with the number of intervals,
+        not with the cycle length.
+        """
+        starts: dict[int, list[int]] = {}
+        stops: dict[int, list[int]] = {}
         for u, intervals in self.allocations.items():
             for s, w in intervals:
-                for slot in range(s, s + w):
-                    per_slot.setdefault(slot, set()).add(u)
-        return {slot: frozenset(nodes) for slot, nodes in per_slot.items()}
+                starts.setdefault(s, []).append(u)
+                stops.setdefault(s + w, []).append(u)
+        points = sorted(starts.keys() | stops.keys())
+        active: set[int] = set()
+        for point, next_point in zip(points, points[1:]):
+            active.difference_update(stops.get(point, ()))
+            active.update(starts.get(point, ()))
+            if active:
+                txs = tuple(sorted(active))
+                for slot in range(point, next_point):
+                    yield slot, txs
 
     def total_width(self, u: int) -> int:
         return sum(w for _, w in self.allocations.get(u, []))
@@ -254,7 +269,7 @@ def validate_schedule(
         )
 
     masks = conflicts.masks
-    for slot, txs in sorted(schedule.transmitters.items()):
+    for slot, txs in schedule.slots():
         present = blocked = 0
         for u in txs:
             if u in masks:  # mask keys are node ids >= 0; others never conflict
@@ -262,7 +277,6 @@ def validate_schedule(
                 blocked |= masks[u]
         if not blocked & present:
             continue
-        txs = sorted(txs)
         for i, u in enumerate(txs):
             for v in txs[i + 1 :]:
                 if conflicts.conflicts(u, v):

@@ -56,8 +56,12 @@ class SpanningTree:
         self.children = {u: list(cs) for u, cs in children.items()}
         self.depth = dict(depth)
         self.gen_rate = dict(gen_rate)
-        self.descendants = self._count_descendants()
-        self._demand = self._accumulate_demand()
+        self.descendants = {u: 0 for u in self.depth}
+        self._demand = {u: self.gen_rate.get(u, 0) for u in self.depth}
+        for u in sorted(self.depth, key=self.depth.__getitem__, reverse=True):  # children first
+            for c in self.children.get(u, []):
+                self.descendants[u] += 1 + self.descendants[c]
+                self._demand[u] += self._demand[c]
 
     @property
     def n(self) -> int:
@@ -71,23 +75,6 @@ class SpanningTree:
 
     def total_generated(self) -> int:
         return sum(self.gen_rate[u] for u in self.non_sink_nodes())
-
-    def _by_depth_desc(self) -> list[int]:
-        return sorted(self.depth, key=lambda u: self.depth[u], reverse=True)
-
-    def _count_descendants(self) -> dict[int, int]:
-        desc = {u: 0 for u in self.depth}
-        for u in self._by_depth_desc():
-            for c in self.children.get(u, []):
-                desc[u] += 1 + desc[c]
-        return desc
-
-    def _accumulate_demand(self) -> dict[int, int]:
-        demand = {u: self.gen_rate.get(u, 0) for u in self.depth}
-        for u in self._by_depth_desc():
-            for c in self.children.get(u, []):
-                demand[u] += demand[c]
-        return demand
 
 
 def _normalize_rates(nodes: list[int], sink: int, gen_rate) -> dict[int, int]:

@@ -105,6 +105,13 @@ def test_config_validation():
             small_config(area=(bad, 1.0)).validate()
         with pytest.raises(ConfigError):
             small_config(area=(1.0, bad)).validate()
+    # rate-file ids must name non-sink nodes of the largest sampled graph
+    for node in (0, -1, 8, 999):
+        with pytest.raises(ConfigError):
+            small_config(gen_rate="@rates", rates_by_node={1: 2, node: 5}).validate()
+    small_config(gen_rate="@rates", rates_by_node={1: 2, 7: 5}).validate()
+    with pytest.raises(ConfigError):
+        small_config(gen_rate="@rates").validate()  # an @file setting with no rates read
 
 
 def test_emit_csv_refuses_empty_table(tmp_path):
@@ -177,6 +184,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--nodes", "5", "--range", "nan"]) == 1
     assert main(["--nodes", "5", "--area", "nanx1"]) == 1
     assert main(["--nodes", "5", "--area", "1xinf"]) == 1
+    # a rate file naming a node no sampled graph has, or the sink
+    for line in ("999 5", "0 7", "-1 2", "5 1"):
+        rates = tmp_path / "rates.txt"
+        rates.write_text(f"1 2\n{line}\n")
+        assert main(["--nodes", "3,5", "--runs", "1", "--rate", f"@{rates}"]) == 1
     # unwritable destination -> I/O failure
     assert main(["--nodes", "5", "--range", "0.6", "--runs", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
     capsys.readouterr()

@@ -111,6 +111,31 @@ def test_empty_schedule_yields_zero_metrics():
 # --- the event-driven kernel against the dense slot-by-slot rule ---------------
 
 
+def _per_slot(schedule):
+    """Dense inverse of the allocations: each occupied slot, in order, to its sorted transmitters."""
+    per_slot = {}
+    for u, intervals in schedule.allocations.items():
+        for start, width in intervals:
+            for slot in range(start, start + width):
+                per_slot.setdefault(slot, []).append(u)
+    return {slot: tuple(sorted(per_slot[slot])) for slot in sorted(per_slot)}
+
+
+def test_slots_match_per_slot_inversion():
+    cases = [
+        (Schedule(3, {1: [(0, 2), (2, 1)]}), [(0, (1,)), (1, (1,)), (2, (1,))]),  # touching intervals
+        (
+            Schedule(7, {3: [(0, 2), (5, 1)], 1: [(1, 3)], 2: [(1, 1), (6, 1)]}),  # interleaved nodes
+            [(0, (3,)), (1, (1, 2, 3)), (2, (1,)), (3, (1,)), (5, (3,)), (6, (2,))],
+        ),
+        (Schedule(4, {}), []),  # nothing occupied
+        (Schedule(0, {}), []),  # length 0
+    ]
+    for schedule, expected in cases:
+        assert list(schedule.slots()) == expected
+        assert list(schedule.slots()) == list(_per_slot(schedule).items())
+
+
 def _reference_replay(schedule, tree):
     """The dense replay: every slot of the cycle, every node's buffer sampled after it."""
     non_sink = tree.non_sink_nodes()
@@ -121,9 +146,10 @@ def _reference_replay(schedule, tree):
     buffer_series = {u: [] for u in non_sink}
     arrivals = []
     awake = {u: set() for u in tree.nodes()}
+    per_slot = _per_slot(schedule)
     for slot in range(schedule.length):
         moved = []
-        for u in sorted(schedule.transmitters.get(slot, frozenset())):
+        for u in per_slot.get(slot, ()):
             if not queues[u]:
                 raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
             moved.append((tree.parent[u], queues[u].pop(0)))
@@ -161,8 +187,9 @@ def _reference_validate(schedule, conflicts, tree):
     for u in strangers:
         first_slot = schedule.allocations[u][0][0]
         violations.append(Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree"))
+    per_slot = _per_slot(schedule)
     for slot in range(schedule.length):
-        txs = sorted(schedule.transmitters.get(slot, frozenset()))
+        txs = per_slot.get(slot, ())
         for i, u in enumerate(txs):
             for v in txs[i + 1 :]:
                 if conflicts.conflicts(u, v):
@@ -173,7 +200,7 @@ def _reference_validate(schedule, conflicts, tree):
     delivered = 0
     for slot in range(schedule.length):
         arrivals = {}
-        for u in sorted(schedule.transmitters.get(slot, frozenset())):
+        for u in per_slot.get(slot, ()):
             if u == tree.sink:
                 violations.append(Violation(CAUSALITY, slot, (u,), "the sink must never transmit"))
                 continue
@@ -199,14 +226,15 @@ def _broken_schedules(rng, schedule, graph, tree, conflicts):
     """An empty and a shifted schedule, then copies with one fault each and with all at once."""
     base = {u: list(ivs) for u, ivs in schedule.allocations.items()}
     length = schedule.length
+    per_slot = _per_slot(schedule)
     edits = []
     if base:
         u = rng.choice(sorted(base))
         dropped = base[u][:]
         del dropped[rng.randrange(len(dropped))]
         edits.append({u: dropped})  # a dropped interval
-        slot = rng.choice(sorted(schedule.transmitters))
-        busy = schedule.transmitters[slot]
+        slot = rng.choice(sorted(per_slot))
+        busy = per_slot[slot]
         rivals = sorted(
             v for w in busy for v in conflicts.conflicting(w) if v != tree.sink and v not in busy
         )
@@ -219,7 +247,7 @@ def _broken_schedules(rng, schedule, graph, tree, conflicts):
     if idle and length:
         edits.append({rng.choice(idle): [(rng.randrange(length), 1)]})  # nothing to send
     for u in tree.non_sink_nodes():
-        free = [s for s in range(length) if u not in schedule.transmitters.get(s, ())]
+        free = [s for s in range(length) if u not in per_slot.get(s, ())]
         if base.get(u) and free:  # one send more than the node ever holds
             edits.append({u: base[u] + [(rng.choice(free), 1)]})
             break
@@ -247,6 +275,7 @@ def test_event_replay_and_validation_match_dense_reference():
         good = run_trasa(t, cm, rng.choice((1, 2)))
         for s in [good] + _broken_schedules(rng, good, g, t, cm):
             checked += 1
+            assert list(s.slots()) == list(_per_slot(s).items())
             violations = validate_schedule(s, cm, t).violations
             assert violations == _reference_validate(s, cm, t)
             broken += bool(violations)
@@ -288,7 +317,7 @@ def test_replay_records_work_per_transmission():
     g, t, _ = sample_instance(config, 500, 0)
     s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
     trace = replay_schedule(s, t)
-    sends = sum(len(txs) for txs in s.transmitters.values())
+    sends = sum(len(txs) for _, txs in s.slots())
     receives = sends - len(trace.packet_arrivals)  # every packet not at the sink lands in a buffer
     points = sum(len(p) for p in trace.buffer_changes.values())
     assert points <= sends + receives + g.n

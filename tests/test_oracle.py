@@ -192,6 +192,8 @@ def test_coloring_to_schedule_rejects_bad_input(chain_setup):
         coloring_to_schedule(Coloring({1: 1}), t, cm)  # node 2 has traffic, no color
     with pytest.raises(InvalidColoring):
         coloring_to_schedule(Coloring({1: 2, 2: 2}), t, cm)  # conflicting pair shares a color
+    with pytest.raises(InvalidColoring):
+        coloring_to_schedule(Coloring({2: 1, 1: 2, 99: 3}), t, cm)  # node 99 is not in the tree
 
 
 def test_schedule_to_coloring_chain(chain_setup):
@@ -216,6 +218,7 @@ def test_validate_coloring_examples(chain_setup):
     assert not validate_coloring(Coloring({2: 2, 1: 1}), cm, t)  # child above parent
     assert not validate_coloring(Coloring({2: 0, 1: 1}), cm, t)  # colors start at 1
     assert not validate_coloring(Coloring({0: 1, 2: 1, 1: 2}), cm, t)  # sink colored
+    assert not validate_coloring(Coloring({2: True, 1: 2}), cm, t)  # a bool is not a color
 
 
 def test_two_hop_pair_must_differ():

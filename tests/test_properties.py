@@ -190,8 +190,8 @@ def test_coloring_round_trip_properties():
 
 
 # --- parser fuzzing: bad text is a ValueError (ConfigError for rates) or a valid object
-# Integers stay small: a Schedule holds one entry per occupied slot, so a huge
-# interval width tests memory, not parsing.
+# Integers stay small: the schedule check walks every occupied slot, so a huge
+# interval width tests time, not parsing.
 
 _NUMBERS = st.one_of(
     st.integers(-3, 12).map(str),
@@ -267,9 +267,9 @@ def test_parse_graph_rejects_or_returns_a_valid_graph(text):
 def test_parse_schedule_rejects_or_returns_a_valid_schedule(text):
     schedule = _parse_or_reject(parse_schedule, text)
     if schedule is not None:
-        occupied = sum(len(txs) for txs in schedule.transmitters.values())
+        occupied = sum(len(txs) for _, txs in schedule.slots())
         assert occupied == sum(schedule.total_width(u) for u in schedule.allocations)
-        assert all(0 <= slot < schedule.length for slot in schedule.transmitters)
+        assert all(0 <= slot < schedule.length for slot, _ in schedule.slots())
 
 
 @given(

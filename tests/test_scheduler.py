@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -196,7 +197,7 @@ def test_trasa_chain_hand_trace(chain):
     s = run_trasa(t, cm, 1)
     assert s.length == 3
     assert s.allocations == {1: [(0, 1), (2, 1)], 2: [(1, 1)]}
-    assert s.transmitters == {0: frozenset({1}), 1: frozenset({2}), 2: frozenset({1})}
+    assert dict(s.slots()) == {0: (1,), 1: (2,), 2: (1,)}
 
 
 def test_trasa_chain_heuristic_two(chain):
@@ -213,11 +214,8 @@ def test_trasa_star_three_children():
         cm = build_conflict_map(g, t, variant, 2)
         s = run_trasa(t, cm, 1)
         assert s.length == 3
-        assert [s.transmitters[i] for i in range(3)] == [
-            frozenset({1}),
-            frozenset({2}),
-            frozenset({3}),
-        ]
+        occupied = dict(s.slots())
+        assert [occupied[i] for i in range(3)] == [(1,), (2,), (3,)]
 
 
 def test_trasa_four_node_chain_h1_hand_trace():
@@ -304,6 +302,18 @@ def test_validator_reports_node_outside_the_tree(chain):
 def test_parse_schedule_rejects_duplicate_node_lines():
     with pytest.raises(ValueError, match="duplicate"):
         parse_schedule("schedule 3\n1 0:1\n1 2:1\n")
+
+
+def test_slot_walk_memory_does_not_grow_with_the_cycle_length():
+    tracemalloc.start()
+    try:
+        schedule = parse_schedule("schedule 200000\n1 0:200000\n")
+        walked = sum(1 for _ in schedule.slots())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walked == 200_000
+    assert peak < 1_000_000  # bytes; a per-slot map of this 27-byte file took ~114 MB
 
 
 def test_schedule_rejects_overlapping_intervals():
