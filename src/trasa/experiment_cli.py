@@ -229,8 +229,10 @@ def _parse_rate(text: str) -> tuple[int | str, dict[int, int] | None]:
                 for ln in fh:
                     if not ln.strip():
                         continue
-                    node, rate = ln.split()
-                    rates[int(node)] = int(rate)
+                    node, rate = map(int, ln.split())
+                    if node in rates:
+                        raise ValueError(f"duplicate rate line for node {node}")
+                    rates[node] = rate
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read rate file {path!r}: {exc}") from exc
         if any(r < 0 for r in rates.values()):

@@ -3,8 +3,10 @@ constructive mappings between precedence colorings and schedules.
 
 The exact search walks buffer-vector states with best-first branch and
 bound: each slot fires a maximal independent set of pending transmitters,
-and an admissible relaxation of the length bounds prunes the frontier. It
-is meant for tiny instances only.
+and an admissible relaxation of the length bounds prunes the frontier. The
+maximal sets depend only on which nodes hold packets, so each search
+enumerates them once per distinct eligible set and keeps them as buffer
+moves. It is meant for tiny instances only.
 """
 
 from __future__ import annotations
@@ -68,9 +70,7 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     index = {u: i for i, u in enumerate(order)}
     bottom_up = sorted(range(len(order)), key=lambda i: tree.depth[order[i]], reverse=True)
     child_slots = [[index[c] for c in tree.children.get(u, [])] for u in order]
-    parents = tree.parent
-    sink = tree.sink
-    sink_children = tree.children.get(sink, [])
+    sink_children = tree.children.get(tree.sink, [])
     children_clique = len(sink_children) >= 2 and all(
         conflicts.conflicts(a, b) for a, b in combinations(sink_children, 2)
     )
@@ -89,6 +89,8 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
             best = max(best, sum(buffers))
         return best
 
+    moves_by_eligible: dict[tuple[int, ...], list[list[tuple[int, int | None]]]] = {}
+
     frontier = [(bound(start), 0, start)]
     seen = {start: 0}
     while frontier:
@@ -97,14 +99,19 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
             return slots
         if slots > seen.get(buffers, slots):
             continue
-        eligible = [u for u in order if buffers[index[u]] > 0]
-        for transmitters in _maximal_independent_sets(eligible, conflicts):
+        eligible = tuple(i for i, b in enumerate(buffers) if b > 0)
+        moves = moves_by_eligible.get(eligible)
+        if moves is None:
+            sets = _maximal_independent_sets([order[i] for i in eligible], conflicts)
+            # (own slot, parent slot) per transmitter; the sink has no slot, so None
+            moves = [[(index[u], index.get(tree.parent[u])) for u in s] for s in sets]
+            moves_by_eligible[eligible] = moves
+        for move in moves:
             nxt = list(buffers)
-            for u in transmitters:
-                nxt[index[u]] -= 1
-                p = parents[u]
-                if p != sink:
-                    nxt[index[p]] += 1
+            for i, p in move:
+                nxt[i] -= 1
+                if p is not None:
+                    nxt[p] += 1
             state = tuple(nxt)
             cost = slots + 1
             if cost < seen.get(state, cost + 1):

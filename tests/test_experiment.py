@@ -11,6 +11,7 @@ from trasa.experiment_cli import (
     CannotSample,
     ConfigError,
     ExperimentConfig,
+    _parse_rate,
     derive_seed,
     emit_csv,
     main,
@@ -87,7 +88,7 @@ def test_csv_line_count_for_forty_runs(tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         small_config(n_values=[]).validate()
     with pytest.raises(ConfigError):
@@ -112,6 +113,10 @@ def test_config_validation():
     small_config(gen_rate="@rates", rates_by_node={1: 2, 7: 5}).validate()
     with pytest.raises(ConfigError):
         small_config(gen_rate="@rates").validate()  # an @file setting with no rates read
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("1 2\n1 3\n")
+    with pytest.raises(ConfigError):
+        _parse_rate(f"@{repeated}")  # a second line for node 1 is not a silent override
 
 
 def test_emit_csv_refuses_empty_table(tmp_path):
@@ -189,6 +194,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         rates = tmp_path / "rates.txt"
         rates.write_text(f"1 2\n{line}\n")
         assert main(["--nodes", "3,5", "--runs", "1", "--rate", f"@{rates}"]) == 1
+    # two lines for the same node
+    rates.write_text("1 2\n1 3\n")
+    assert main(["--nodes", "5", "--runs", "1", "--range", "0.6", "--rate", f"@{rates}"]) == 1
     # unwritable destination -> I/O failure
     assert main(["--nodes", "5", "--range", "0.6", "--runs", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from collections import deque
@@ -8,6 +9,7 @@ import pytest
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
 from trasa.tree import Disconnected, Infeasible, build_spanning_tree
 from trasa.scheduler import Variant, build_conflict_map, run_trasa, validate_schedule
+from trasa import oracle
 from trasa.oracle import (
     Coloring,
     InvalidColoring,
@@ -78,22 +80,142 @@ def test_size_guard():
 
 
 def test_search_matches_unpruned_brute_force():
-    rng = np.random.default_rng(2024)
+    # all-ones rates, then per-node rates 0-2: zero-demand nodes are never
+    # eligible, and multi-packet buffers reach one eligible set from many states
+    for seed, per_node in ((2024, False), (2025, True)):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 30:
+            n = int(rng.integers(2, 6))
+            g = generate_random_graph(n, (1.0, 1.0), 0.7, seed=int(rng.integers(10**9)))
+            if not is_connected(g):
+                continue
+            rates = {u: int(rng.integers(0, 3)) for u in range(1, n)} if per_node else 1
+            try:
+                t = build_spanning_tree(g, max_children=3, gen_rate=rates)
+            except Infeasible:
+                continue
+            h = int(rng.integers(1, 4))
+            variant = Variant.ALL_LINKS if rng.integers(2) else Variant.TREE_ONLY
+            cm = build_conflict_map(g, t, variant, h)
+            assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
+            checked += 1
+
+
+def _per_state_optimal_schedule_length(tree, conflicts) -> int:
+    """The best-first search enumerating maximal sets afresh for every expanded state.
+
+    A reference for the library search, which enumerates them once per
+    eligible set: same bound, same tie-breaking, same heap pushes.
+    """
+    order = tree.non_sink_nodes()
+    index = {u: i for i, u in enumerate(order)}
+    bottom_up = sorted(range(len(order)), key=lambda i: tree.depth[order[i]], reverse=True)
+    child_slots = [[index[c] for c in tree.children.get(u, [])] for u in order]
+    sink_children = tree.children.get(tree.sink, [])
+    children_clique = len(sink_children) >= 2 and all(
+        conflicts.conflicts(a, b) for a, b in itertools.combinations(sink_children, 2)
+    )
+    start = tuple(tree.gen_rate[u] for u in order)
+    if sum(start) == 0:
+        return 0
+
+    def bound(buffers):
+        through = list(buffers)
+        for i in bottom_up:
+            for c in child_slots[i]:
+                through[i] += through[c]
+        best = max(through)
+        if children_clique:
+            best = max(best, sum(buffers))
+        return best
+
+    frontier = [(bound(start), 0, start)]
+    seen = {start: 0}
+    while frontier:
+        _, slots, buffers = heapq.heappop(frontier)
+        if sum(buffers) == 0:
+            return slots
+        if slots > seen.get(buffers, slots):
+            continue
+        eligible = [u for u in order if buffers[index[u]] > 0]
+        for transmitters in oracle._maximal_independent_sets(eligible, conflicts):
+            nxt = list(buffers)
+            for u in transmitters:
+                nxt[index[u]] -= 1
+                p = tree.parent[u]
+                if p != tree.sink:
+                    nxt[index[p]] += 1
+            state = tuple(nxt)
+            cost = slots + 1
+            if cost < seen.get(state, cost + 1):
+                seen[state] = cost
+                heapq.heappush(frontier, (cost + bound(state), cost, state))
+    raise AssertionError("unreachable")
+
+
+def _record_pushes(monkeypatch, search, tree, conflicts, expected=None):
+    """Run search, returning its result and its heap pushes in order.
+
+    With expected, every push is checked as it is made and the run fails at
+    the first one that differs: a wrong buffer move can send a search
+    through endless states.
+    """
+    pushes = []
+    original_push = heapq.heappush
+
+    def push(heap, item):
+        if expected is not None:
+            assert len(pushes) < len(expected) and item == expected[len(pushes)], f"push {len(pushes)} differs"
+        pushes.append(item)
+        original_push(heap, item)
+
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappush", push)
+        result = search(tree, conflicts)
+    assert expected is None or pushes == expected
+    return result, pushes
+
+
+def test_memoized_search_pushes_what_the_per_state_search_pushes(monkeypatch):
+    rng = random.Random(4242)
     checked = 0
-    while checked < 30:
-        n = int(rng.integers(2, 6))
-        g = generate_random_graph(n, (1.0, 1.0), 0.7, seed=int(rng.integers(10**9)))
-        if not is_connected(g):
-            continue
+    while checked < 504:  # every cell of the grid below, once
+        n = 2 + checked % 7
+        variant = list(Variant)[checked // 7 % 2]
+        h = 1 + checked // 14 % 3
+        max_children = 1 + checked // 42 % 3
+        rate_kind = checked // 126  # 0-2: that rate everywhere; 3: per-node 0-2
+        rates = {u: rng.randint(0, 2) for u in range(1, n)} if rate_kind == 3 else rate_kind
+        g = generate_random_graph(n, (1.0, 1.0), rng.uniform(0.4, 1.0), seed=rng.randrange(2**32))
         try:
-            t = build_spanning_tree(g, max_children=3)
-        except Infeasible:
+            t = build_spanning_tree(g, max_children=max_children, gen_rate=rates)
+        except (Disconnected, Infeasible):
             continue
-        h = int(rng.integers(1, 4))
-        variant = Variant.ALL_LINKS if rng.integers(2) else Variant.TREE_ONLY
         cm = build_conflict_map(g, t, variant, h)
-        assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
+        optimum, pushes = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
+        assert _record_pushes(monkeypatch, optimal_schedule_length, t, cm, pushes)[0] == optimum
         checked += 1
+
+
+def test_maximal_sets_enumerated_once_per_eligible_set(monkeypatch):
+    g = generate_random_graph(8, (1.0, 1.0), 0.5, seed=3)
+    t = build_spanning_tree(g, max_children=3, gen_rate=2)
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+    calls = []
+    original = oracle._maximal_independent_sets
+
+    def counting(eligible, conflicts):
+        calls.append(tuple(eligible))
+        return original(eligible, conflicts)
+
+    monkeypatch.setattr(oracle, "_maximal_independent_sets", counting)
+    optimum, pushes = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
+    per_state = list(calls)  # one call per expanded state
+    calls.clear()
+    assert _record_pushes(monkeypatch, optimal_schedule_length, t, cm, pushes)[0] == optimum
+    assert calls == list(dict.fromkeys(per_state))  # each expanded eligible set once, first-seen order
+    assert len(calls) <= 2 ** (t.n - 1) < len(per_state)
 
 
 def test_optimum_never_exceeds_greedy_or_upper_bound():
