@@ -15,7 +15,7 @@ from enum import Enum
 
 from .metrics import _replay
 from .topology import NetworkGraph
-from .tree import SpanningTree, subtree_demand
+from .tree import SpanningTree, _integer, subtree_demand
 
 
 class Variant(Enum):
@@ -91,12 +91,13 @@ class Schedule:
     """
 
     def __init__(self, length: int, allocations: dict[int, list[tuple[int, int]]]):
+        length = _integer(length, "length")
         if length < 0:
             raise ValueError("length must be >= 0")
         self.length = length
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
-            ivs = sorted((int(s), int(w)) for s, w in intervals)
+            ivs = sorted((_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals)
             prev_end = -1
             for s, w in ivs:
                 if w < 1 or s < 0 or s + w > length:
@@ -149,6 +150,8 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
     """
     if u == tree.sink:
         raise ValueError("the sink is never scheduled")
+    if u not in tree.depth:
+        raise ValueError(f"node {u} not in tree")
     if heuristic == 1:
         return (-tree.descendants[u], tree.depth[u], u)
     if heuristic == 2:

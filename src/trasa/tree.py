@@ -5,25 +5,24 @@ limit. The attachment order is fixed for reproducibility: nodes attach in
 BFS order (smallest feasible depth first, ties by ascending node id), each
 to the lowest-id non-full attached neighbor at that depth.
 
-The builder realises that rule with a lazy min-heap of (depth + 1, node,
-parent) offers. An attaching node offers itself to each unattached neighbor;
-an offer is pushed only if it beats the one that neighbor already holds. A
-popped offer is dropped if its node is attached or holds a better one. If
-its parent has filled up since, the node's attached, non-full neighbors are
-rescanned and the best of them is offered instead; with none, the node waits
-for a new neighbor to attach. Attachment depths never decrease, so a filling
-parent only raises a node's best feasible (depth, parent) key, and a new
-neighbor offers itself directly: the offer a node holds is never above that
-key, and one popped while its parent is still open is exactly the key. Pops
-therefore follow the rule above. Offers cost O(E log E) for E edges; a node
-rescans its neighbors only when the parent it holds fills up, so at most
-once per neighbor.
+The builder attaches one depth layer at a time. For d = 1, 2, ... it walks
+the unattached neighbors of the depth d-1 layer in ascending id and attaches
+each to its lowest-id depth d-1 neighbor that is not yet full; a parent
+leaves the open set once it fills. This is exactly the rule above: every
+attachment at depth d comes before any at depth d+1, and a full parent stays
+full, so a node left over at layer d has only full neighbors at depth <= d-1
+and can attach only deeper, below a node of a later layer. A node's neighbor
+list is read once when its layer expands and once per layer that still has
+an open parent when the walk reaches the node. Connectivity is checked only
+when some node stays unattached, to tell Disconnected from Infeasible; a
+disconnected graph can never span, so the outcome is the one a check made
+first would give.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping
-from heapq import heappop, heappush
 
 from .topology import SINK, NetworkGraph, is_connected
 
@@ -77,11 +76,19 @@ class SpanningTree:
         return sum(self.gen_rate[u] for u in self.non_sink_nodes())
 
 
+def _integer(value, what: str) -> int:
+    """value as an int if it is integral (a Python or numpy integer), else ValueError; never truncates."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _normalize_rates(nodes: list[int], sink: int, gen_rate) -> dict[int, int]:
     if isinstance(gen_rate, Mapping):
-        rates = {u: int(gen_rate.get(u, 1)) for u in nodes}
+        rates = {u: _integer(gen_rate.get(u, 1), "gen_rate") for u in nodes}
     else:
-        rates = {u: int(gen_rate) for u in nodes}
+        rates = dict.fromkeys(nodes, _integer(gen_rate, "gen_rate"))
     rates[sink] = 0
     for u, r in rates.items():
         if r < 0:
@@ -104,52 +111,37 @@ def build_spanning_tree(
     if max_children < 1:
         raise ValueError("max_children must be >= 1")
     graph._check_node(sink)
-    if not is_connected(graph):
-        raise Disconnected("graph is not connected from the sink")
-
     n = graph.n
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {u: [] for u in range(n)}
     depth: dict[int, int] = {sink: 0}
-    best: dict[int, tuple[int, int]] = {}  # unattached node -> best (depth, parent) offered
-    heap: list[tuple[int, int, int]] = []
-
-    def offer(key: tuple[int, int], v: int) -> None:
-        if v not in best or key < best[v]:
-            best[v] = key
-            heappush(heap, (key[0], v, key[1]))
-
-    def attach(u: int) -> None:
-        key = (depth[u] + 1, u)
-        for v in graph.neighbors(u):
-            if v not in depth:
-                offer(key, v)
-
-    attach(sink)
-    while heap:
-        d, v, p = heappop(heap)
-        if best.get(v) != (d, p):  # beaten, or v attached (attaching clears best[v])
-            continue
-        del best[v]
-        if len(children[p]) >= max_children:
-            # p filled up since the push: re-offer v its best remaining parent, if any.
-            options = [
-                (depth[q] + 1, q)
-                for q in graph.neighbors(v)
-                if q in depth and len(children[q]) < max_children
-            ]
+    unattached = set(range(n)) - {sink}
+    layer, d = [sink], 0
+    while layer and unattached:
+        d += 1
+        open_parents = set(layer)
+        waiting = unattached.intersection(set().union(*map(graph.neighbors, layer)))
+        layer = []
+        for v in sorted(waiting):
+            if not open_parents:
+                break
+            options = graph.neighbors(v) & open_parents
             if options:
-                offer(min(options), v)
-            continue
-        parent[v] = p
-        children[p].append(v)
-        depth[v] = d
-        attach(v)
+                p = min(options)
+                parent[v] = p
+                depth[v] = d
+                kids = children[p]
+                kids.append(v)
+                if len(kids) >= max_children:
+                    open_parents.remove(p)
+                layer.append(v)
+        unattached.difference_update(layer)
 
-    if len(depth) < n:
-        blocked = sorted(set(range(n)) - set(depth))
+    if unattached:
+        if not is_connected(graph):
+            raise Disconnected("graph is not connected from the sink")
         raise Infeasible(
-            f"child limit {max_children} blocks nodes {blocked} from attaching"
+            f"child limit {max_children} blocks nodes {sorted(unattached)} from attaching"
         )
 
     rates = _normalize_rates(list(range(n)), sink, gen_rate)

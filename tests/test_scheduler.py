@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from collections import deque
 
+import numpy as np
 import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph
@@ -42,6 +43,9 @@ def test_priority_orders_chain_nodes(chain):
         node_priority(t, 0, 1)
     with pytest.raises(ValueError):
         node_priority(t, 1, 3)
+    for outside in (7, -1):
+        with pytest.raises(ValueError):
+            node_priority(t, outside, 1)
 
 
 def test_priority_ties_break_by_id():
@@ -321,6 +325,13 @@ def test_schedule_rejects_overlapping_intervals():
         Schedule(3, {1: [(0, 2), (1, 1)]})
     with pytest.raises(ValueError):
         Schedule(2, {1: [(1, 2)]})
+    # non-integral bounds are rejected, never truncated; numpy integers are integral
+    for bad in ({1: [(0.5, 1.7)]}, {1: [(0, 1.0)]}, {1: [(float("inf"), 1)]}):
+        with pytest.raises(ValueError):
+            Schedule(3, bad)
+    with pytest.raises(ValueError):
+        Schedule(2.5, {1: [(0, 1)]})
+    assert Schedule(np.int64(3), {1: [(np.int32(0), np.int64(2))]}).allocations == {1: [(0, 2)]}
 
 
 def test_schedule_dump_and_parse_round_trip(chain):

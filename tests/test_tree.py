@@ -2,8 +2,10 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import trasa.tree
 from trasa.experiment_cli import ExperimentConfig, sample_instance
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
 from trasa.tree import (
@@ -39,6 +41,27 @@ def test_disconnected_graph_is_rejected():
     g = NetworkGraph([(0.0, 0.0), (0.9, 0.9)], 0.4, (1.0, 1.0))
     with pytest.raises(Disconnected):
         build_spanning_tree(g, max_children=3)
+    # also child-limit blocked: a disconnected graph is Disconnected, whatever else fails
+    star = star_graph(6)
+    g = NetworkGraph(list(star.positions) + [(0.02, 0.02)], star.range_r, star.area)
+    with pytest.raises(Disconnected):
+        build_spanning_tree(g, max_children=3)
+
+
+def test_connectivity_is_checked_only_when_a_build_fails(monkeypatch):
+    calls = 0
+
+    def counted(graph):
+        nonlocal calls
+        calls += 1
+        return is_connected(graph)
+
+    monkeypatch.setattr(trasa.tree, "is_connected", counted)
+    build_spanning_tree(generate_random_graph(40, (1.0, 1.0), 0.4, seed=31), max_children=3)
+    assert calls == 0
+    with pytest.raises(Disconnected):
+        build_spanning_tree(NetworkGraph([(0.0, 0.0), (0.9, 0.9)], 0.4, (1.0, 1.0)), 3)
+    assert calls == 1
 
 
 def test_star_of_five_leaves_with_child_limit_three_is_infeasible():
@@ -106,6 +129,13 @@ def test_per_node_rates_are_applied():
     assert subtree_demand(t, 1) == 6
     with pytest.raises(ValueError):
         build_spanning_tree(g, max_children=3, gen_rate={1: -1})
+    # non-integral rates are rejected, never truncated; numpy integers are integral
+    for bad in ({1: 2.7}, 2.0, float("inf"), float("nan"), "2"):
+        with pytest.raises(ValueError):
+            build_spanning_tree(g, max_children=3, gen_rate=bad)
+    t = build_spanning_tree(g, max_children=3, gen_rate={1: np.int64(4), 2: np.int32(2)})
+    assert t.gen_rate == {0: 0, 1: 4, 2: 2}
+    assert build_spanning_tree(g, max_children=3, gen_rate=np.uint8(3)).gen_rate == {0: 0, 1: 3, 2: 3}
 
 
 def test_dump_tree_format():
@@ -114,7 +144,7 @@ def test_dump_tree_format():
     assert dump_tree(t) == "0 -1 0 2 0\n1 0 1 1 1\n2 1 2 0 1\n"
 
 
-def _reference_build(graph, max_children):
+def _reference_build(graph, max_children, sink=0):
     """The documented attachment rule, rescanning every unattached node per attachment.
 
     Returns (parent, depth, children) or raises like build_spanning_tree.
@@ -122,7 +152,7 @@ def _reference_build(graph, max_children):
     if not is_connected(graph):
         raise Disconnected("graph is not connected from the sink")
     n = graph.n
-    parent, depth = {}, {0: 0}
+    parent, depth = {}, {sink: 0}
     children = {u: [] for u in range(n)}
     while len(depth) < n:
         # smallest feasible depth, then lowest node id; parent: lowest-id non-full at that depth
@@ -151,9 +181,9 @@ def _reference_build(graph, max_children):
     return parent, depth, children
 
 
-def _outcome(build, graph, max_children):
+def _outcome(build, graph, max_children, sink):
     try:
-        return build(graph, max_children)
+        return build(graph, max_children, sink)
     except (Disconnected, Infeasible) as exc:
         return type(exc), str(exc)
 
@@ -161,19 +191,20 @@ def _outcome(build, graph, max_children):
 def test_heap_builder_matches_documented_rule_on_random_graphs():
     rng = random.Random(2012)
     kinds = Counter()
-    for _ in range(300):
+    for i in range(300 + 120):
         n = rng.randint(2, 130)
         max_children = rng.randint(1, 4)
         range_r = rng.uniform(0.08, 0.6)
         g = generate_random_graph(n, (1.0, 1.0), range_r, seed=rng.randrange(2**32))
-        expected = _outcome(_reference_build, g, max_children)
-        got = _outcome(build_spanning_tree, g, max_children)
+        sink = 0 if i < 300 else rng.randrange(n)  # 300 sink-0 graphs, then random sinks
+        expected = _outcome(_reference_build, g, max_children, sink)
+        got = _outcome(build_spanning_tree, g, max_children, sink)
         if isinstance(got, SpanningTree):
             kinds["tree"] += 1
             got = (got.parent, got.depth, got.children)
         else:
             kinds[got[0].__name__] += 1
-        assert got == expected, (n, max_children, range_r)
+        assert got == expected, (n, max_children, range_r, sink)
     # every outcome is exercised, infeasible trees included
     assert kinds["tree"] >= 100 and kinds["Infeasible"] >= 30 and kinds["Disconnected"] >= 30, kinds
 
