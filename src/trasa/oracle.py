@@ -7,6 +7,28 @@ and an admissible relaxation of the length bounds prunes the frontier. The
 maximal sets depend only on which nodes hold packets, so each search
 enumerates them once per distinct eligible set and keeps them as buffer
 moves. It is meant for tiny instances only.
+
+A buffer vector is packed into one int. With T packets in total, each
+non-sink node owns a field of w = T.bit_length() + 1 bits, the first of
+`tree.non_sink_nodes()` in the most significant field. No buffer exceeds T
+< 2^(w-1), so every field keeps a spare top bit clear; with equal widths and
+an equal field count, int order is therefore the lexicographic order of the
+buffer tuples, and heap ties break as they would on tuples. With L the
+lowest and H the top bit of every field:
+
+- a move is one precomputed addition (-2^off(u) per transmitter u, plus
+  2^off(parent) unless the parent is the sink); a move that drives a field
+  below zero borrows into a top bit, so `state & H` catches it;
+- `((state | H) - L) & H` keeps the top bit of exactly the nonempty fields,
+  the key of the eligible set;
+- `(state & mask) * L` sums the masked fields into the top field without
+  carries, since no sum exceeds T.
+
+The bound is the largest funnel count, the packets at or below a node.
+Buffers are never negative, so a node's count never exceeds its ancestors',
+and the largest is the branch sum of some sink child; when the sink children
+pairwise conflict, every packet needs its own slot at the sink, so the bound
+is the whole buffer sum.
 """
 
 from __future__ import annotations
@@ -58,65 +80,74 @@ def _maximal_independent_sets(eligible: list[int], conflicts: ConflictMap) -> li
 def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     """Exact minimum cycle length over all conflict-free delivering schedules.
 
-    Rejects instances with more than 8 nodes. The pruning bound is the
-    per-node funnel count (packets at or below a node, each needing one of
-    its slots), plus the sink-children sum when they pairwise conflict; both
+    Rejects instances with more than 8 nodes. A state is the buffer vector
+    packed into one int (see the module docstring): fields of
+    w = total.bit_length() + 1 bits, the first non-sink node in the most
+    significant one. Every field stays below 2^(w-1), so int order equals the
+    buffer-tuple order and the heap pops states in tuple order. A move is one
+    precomputed addition; a move that drives a buffer below zero borrows into
+    a spare top bit and raises AssertionError. The pruning bound is the
+    largest funnel count (packets at or below a node, each needing one of its
+    slots). Buffers are never negative, so that is a sink child's branch sum,
+    or the whole buffer sum when the sink children pairwise conflict. Both
     relax true lower bounds, so the search never prunes the optimum.
     """
     if tree.n > MAX_ORACLE_NODES:
         raise TooLarge(f"exact search is limited to {MAX_ORACLE_NODES} nodes, got {tree.n}")
 
     order = tree.non_sink_nodes()
-    index = {u: i for i, u in enumerate(order)}
-    bottom_up = sorted(range(len(order)), key=lambda i: tree.depth[order[i]], reverse=True)
-    child_slots = [[index[c] for c in tree.children.get(u, [])] for u in order]
-    sink_children = tree.children.get(tree.sink, [])
-    children_clique = len(sink_children) >= 2 and all(
-        conflicts.conflicts(a, b) for a, b in combinations(sink_children, 2)
-    )
-
-    start = tuple(tree.gen_rate[u] for u in order)
-    if sum(start) == 0:
+    total = tree.total_generated()
+    if total == 0:
         return 0
 
-    def bound(buffers: tuple[int, ...]) -> int:
-        through = list(buffers)  # packets at or below each node, children summed first
-        for i in bottom_up:
-            for c in child_slots[i]:
-                through[i] += through[c]
-        best = max(through)
-        if children_clique:
-            best = max(best, sum(buffers))
-        return best
+    w = total.bit_length() + 1
+    top = (len(order) - 1) * w
+    field = (1 << w) - 1
+    bit = {u: 1 << (top - i * w) for i, u in enumerate(order)}  # lowest bit of u's field
+    low = sum(bit.values())
+    high = low << (w - 1)
 
-    moves_by_eligible: dict[tuple[int, ...], list[list[tuple[int, int | None]]]] = {}
+    sink_children = tree.children.get(tree.sink, [])
+    branches = dict.fromkeys(sink_children, 0)  # field mask of each sink child's subtree
+    for u in order:
+        a = u
+        while tree.parent[a] != tree.sink:
+            a = tree.parent[a]
+        branches[a] |= field * bit[u]
+    masks = list(branches.values())
+    if len(sink_children) >= 2 and all(conflicts.conflicts(a, b) for a, b in combinations(sink_children, 2)):
+        masks = [low * field]  # every field: the whole buffer sum
 
+    def bound(state: int) -> int:
+        # multiplying by low sums the masked fields into the top field, without carries
+        return max((state & mask) * low >> top & field for mask in masks)
+
+    moves_by_eligible: dict[int, list[int]] = {}
+
+    start = sum(tree.gen_rate[u] * bit[u] for u in order)
     frontier = [(bound(start), 0, start)]
     seen = {start: 0}
     while frontier:
-        estimate, slots, buffers = heapq.heappop(frontier)
-        if sum(buffers) == 0:
+        _, slots, state = heapq.heappop(frontier)
+        if state == 0:
             return slots
-        if slots > seen.get(buffers, slots):
+        if slots > seen.get(state, slots):
             continue
-        eligible = tuple(i for i, b in enumerate(buffers) if b > 0)
+        eligible = ((state | high) - low) & high  # top bit of every nonempty field
         moves = moves_by_eligible.get(eligible)
         if moves is None:
-            sets = _maximal_independent_sets([order[i] for i in eligible], conflicts)
-            # (own slot, parent slot) per transmitter; the sink has no slot, so None
-            moves = [[(index[u], index.get(tree.parent[u])) for u in s] for s in sets]
+            sets = _maximal_independent_sets([u for u in order if eligible & bit[u] << (w - 1)], conflicts)
+            # each transmitter leaves its own field and enters its parent's (none for the sink)
+            moves = [sum(bit.get(tree.parent[u], 0) - bit[u] for u in s) for s in sets]
             moves_by_eligible[eligible] = moves
-        for move in moves:
-            nxt = list(buffers)
-            for i, p in move:
-                nxt[i] -= 1
-                if p is not None:
-                    nxt[p] += 1
-            state = tuple(nxt)
-            cost = slots + 1
-            if cost < seen.get(state, cost + 1):
-                seen[state] = cost
-                heapq.heappush(frontier, (cost + bound(state), cost, state))
+        cost = slots + 1
+        for delta in moves:
+            nxt = state + delta
+            if nxt & high:
+                raise AssertionError(f"a move drives a buffer below zero from state {state:#x}")
+            if cost < seen.get(nxt, cost + 1):
+                seen[nxt] = cost
+                heapq.heappush(frontier, (cost + bound(nxt), cost, nxt))
     raise AssertionError("search space exhausted without delivering all packets")
 
 

@@ -57,6 +57,7 @@ def build_conflict_map(
     The ball within k hops of u is u's ball within k-1 hops OR'ed with those
     of its neighbours; after h rounds u's own bit is cleared.
     """
+    h = _integer(h, "h")
     if h < 1:
         raise ValueError("h must be >= 1")
     if variant is Variant.ALL_LINKS:

@@ -108,6 +108,7 @@ def build_spanning_tree(
     Infeasible when the attachment rule dead-ends (every neighbor of some
     unattached node is full); callers typically resample the topology then.
     """
+    max_children = _integer(max_children, "max_children")
     if max_children < 1:
         raise ValueError("max_children must be >= 1")
     graph._check_node(sink)

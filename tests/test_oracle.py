@@ -154,9 +154,24 @@ def _per_state_optimal_schedule_length(tree, conflicts) -> int:
     raise AssertionError("unreachable")
 
 
+def _decode_state(tree, state):
+    """The buffer tuple of a packed int state.
+
+    Fields of w = total.bit_length() + 1 bits, the first non-sink node in
+    the most significant one; every field keeps its top bit clear.
+    """
+    order = tree.non_sink_nodes()
+    w = tree.total_generated().bit_length() + 1
+    fields = tuple(state >> (len(order) - 1 - i) * w & (1 << w) - 1 for i in range(len(order)))
+    assert state == sum(b << (len(order) - 1 - i) * w for i, b in enumerate(fields))
+    assert all(b < 1 << w - 1 for b in fields)
+    return fields
+
+
 def _record_pushes(monkeypatch, search, tree, conflicts, expected=None):
     """Run search, returning its result and its heap pushes in order.
 
+    Int states (the library's packed buffers) are decoded to buffer tuples.
     With expected, every push is checked as it is made and the run fails at
     the first one that differs: a wrong buffer move can send a search
     through endless states.
@@ -165,9 +180,11 @@ def _record_pushes(monkeypatch, search, tree, conflicts, expected=None):
     original_push = heapq.heappush
 
     def push(heap, item):
+        estimate, cost, state = item
+        decoded = (estimate, cost, _decode_state(tree, state)) if isinstance(state, int) else item
         if expected is not None:
-            assert len(pushes) < len(expected) and item == expected[len(pushes)], f"push {len(pushes)} differs"
-        pushes.append(item)
+            assert len(pushes) < len(expected) and decoded == expected[len(pushes)], f"push {len(pushes)} differs"
+        pushes.append(decoded)
         original_push(heap, item)
 
     with monkeypatch.context() as m:
@@ -216,6 +233,23 @@ def test_maximal_sets_enumerated_once_per_eligible_set(monkeypatch):
     assert _record_pushes(monkeypatch, optimal_schedule_length, t, cm, pushes)[0] == optimum
     assert calls == list(dict.fromkeys(per_state))  # each expanded eligible set once, first-seen order
     assert len(calls) <= 2 ** (t.n - 1) < len(per_state)
+
+
+def test_move_into_an_empty_buffer_fails_fast(monkeypatch):
+    g = generate_random_graph(6, (1.0, 1.0), 0.6, seed=11)
+    t = build_spanning_tree(g, max_children=3)
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 1)
+    assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm) == 5
+    original = oracle._maximal_independent_sets
+
+    def with_an_empty_sender(eligible, conflicts):
+        empty = min(set(t.non_sink_nodes()) - set(eligible), default=None)
+        sets = original(eligible, conflicts)
+        return sets if empty is None else [tuple(sorted(s + (empty,))) for s in sets]
+
+    monkeypatch.setattr(oracle, "_maximal_independent_sets", with_an_empty_sender)
+    with pytest.raises(AssertionError, match="below zero"):
+        optimal_schedule_length(t, cm)
 
 
 def test_optimum_never_exceeds_greedy_or_upper_bound():

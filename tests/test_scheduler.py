@@ -35,6 +35,20 @@ def chain():
     return g, t, cm
 
 
+def test_child_limit_and_hop_count_must_be_integers():
+    g = generate_random_graph(30, (1.0, 1.0), 0.5, seed=3)
+    for bad in (0, 2.5, math.nan):  # unchecked, 2.5 would allow 3 children and NaN no limit
+        with pytest.raises(ValueError, match="max_children"):
+            build_spanning_tree(g, max_children=bad)
+    t = build_spanning_tree(g, max_children=np.int64(3))
+    assert t.parent == build_spanning_tree(g, max_children=3).parent
+    assert max(map(len, t.children.values())) <= 3
+    for bad in (0, 1.5):
+        with pytest.raises(ValueError, match="h must"):
+            build_conflict_map(g, t, Variant.ALL_LINKS, bad)
+    assert build_conflict_map(g, t, Variant.ALL_LINKS, np.int64(2)) == build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+
+
 def test_priority_orders_chain_nodes(chain):
     _, t, _ = chain
     assert node_priority(t, 1, 1) < node_priority(t, 2, 1)  # more descendants first
