@@ -24,11 +24,19 @@ from .scheduler import (
     write_schedule_file,
 )
 from .topology import SINK, NetworkGraph, generate_random_graph
-from .tree import Disconnected, Infeasible, SpanningTree, build_spanning_tree, write_tree_file
+from .tree import Disconnected, Infeasible, SpanningTree, _integer, build_spanning_tree, write_tree_file
 
 
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
+
+
+def _config_integer(value, what: str) -> int:
+    """value as an int if it is integral, else ConfigError (see `tree._integer`)."""
+    try:
+        return _integer(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 class CannotSample(RuntimeError):
@@ -77,23 +85,23 @@ class ExperimentConfig:
     rates_by_node: dict[int, int] | None = field(default=None, repr=False)
 
     def validate(self) -> None:
-        if not self.n_values or any(n < 1 for n in self.n_values):
+        if not self.n_values or any(_config_integer(n, "n_values entry") < 1 for n in self.n_values):
             raise ConfigError("n_values must be non-empty positive integers")
         if not all(math.isfinite(side) and side > 0 for side in self.area):
             raise ConfigError("area dimensions must be finite and positive")
         if not (math.isfinite(self.range_r) and self.range_r > 0):
             raise ConfigError("range must be finite and positive")
-        if self.h < 1:
+        if _config_integer(self.h, "h") < 1:
             raise ConfigError("h must be >= 1")
-        if self.max_children < 1:
+        if _config_integer(self.max_children, "max_children") < 1:
             raise ConfigError("max_children must be >= 1")
         if self.heuristic not in (1, 2):
             raise ConfigError("heuristic must be 1 or 2")
         if not isinstance(self.variant, Variant):
             raise ConfigError("variant must be a Variant")
-        if self.runs < 1:
+        if _config_integer(self.runs, "runs") < 1:
             raise ConfigError("runs must be >= 1")
-        if isinstance(self.gen_rate, int) and self.gen_rate < 1:
+        if isinstance(self.gen_rate, int) and _config_integer(self.gen_rate, "uniform rate") < 1:
             raise ConfigError("uniform rate must be >= 1")
         if not isinstance(self.gen_rate, int) and self.rates_by_node is None:
             raise ConfigError(f"unresolved rate setting {self.gen_rate!r}")

@@ -1,12 +1,13 @@
 """Ground-truth machinery: exact minimum-length search and the two
 constructive mappings between precedence colorings and schedules.
 
-The exact search walks buffer-vector states with best-first branch and
-bound: each slot fires a maximal independent set of pending transmitters,
-and an admissible relaxation of the length bounds prunes the frontier. The
-maximal sets depend only on which nodes hold packets, so each search
-enumerates them once per distinct eligible set and keeps them as buffer
-moves. It is meant for tiny instances only.
+The exact search walks buffer-vector states best-first (A*): each slot fires
+a maximal independent set of pending transmitters, and an admissible lower
+bound on the slots left orders and prunes the frontier. The maximal sets
+depend only on which nodes hold packets, so each search enumerates them once
+per distinct eligible set, with Bron–Kerbosch on the complement of the
+conflict graph, and keeps them as buffer moves. It is meant for tiny
+instances only.
 
 A buffer vector is packed into one int. With T packets in total, each
 non-sink node owns a field of w = T.bit_length() + 1 bits, the first of
@@ -24,16 +25,25 @@ lowest and H the top bit of every field:
 - `(state & mask) * L` sums the masked fields into the top field without
   carries, since no sum exceeds T.
 
-The bound is the largest funnel count, the packets at or below a node.
-Buffers are never negative, so a node's count never exceeds its ancestors',
-and the largest is the branch sum of some sink child; when the sink children
-pairwise conflict, every packet needs its own slot at the sink, so the bound
-is the whole buffer sum.
+The bound is the conflict-clique bound. A node's funnel count f(u) is the
+number of packets at or below it; u must still send each of them once. Two
+members of a clique K of the conflict graph never share a slot, so at least
+the sum of f(u) over K slots remain. The bound is the largest such sum over
+the maximal cliques on the non-sink nodes, which Bron–Kerbosch enumerates
+once per search. Every node lies in some maximal clique, and sink children
+that pairwise conflict lie in one together, so the bound is never below a
+sink child's branch sum, nor below the whole buffer sum in that case. A
+sender's own count drops by one and no other count drops, and at most one
+member of a clique sends per slot, so the bound drops by at most one per
+slot; the first goal popped is therefore optimal. Among states with equal
+slots + bound the heap pops the deepest first, so the search dives towards
+a goal instead of widening every state of that estimate first.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -59,38 +69,84 @@ class Coloring:
     colors: dict[int, int] = field(default_factory=dict)
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask as node ids, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+def _maximal_cliques(candidates: int, neighbours: dict[int, int]) -> list[int]:
+    """Every maximal clique of the graph induced on the candidates mask, each as a mask.
+
+    Bron–Kerbosch with pivoting: neighbours[v] is v's neighbour mask, given
+    for every candidate v, symmetric and without v's own bit; bits outside
+    the candidates are ignored. The order of the cliques is unspecified, and
+    no candidates give no cliques.
+    """
+    cliques = []
+
+    def expand(clique: int, pool: int, excluded: int) -> None:
+        if not pool:
+            if not excluded:  # nothing can extend the clique: it is maximal
+                cliques.append(clique)
+            return
+        # any maximal extension holds the pivot or one of its non-neighbours,
+        # so branching on those alone misses none; the busiest pivot leaves the fewest
+        pivot = max(_bits(pool | excluded), key=lambda u: (pool & neighbours[u]).bit_count())
+        for v in _bits(pool & ~neighbours[pivot]):
+            expand(clique | 1 << v, pool & neighbours[v], excluded & neighbours[v])
+            pool &= ~(1 << v)
+            excluded |= 1 << v
+
+    if candidates:
+        expand(0, candidates, 0)
+    return cliques
+
+
 def _maximal_independent_sets(eligible: list[int], conflicts: ConflictMap) -> list[tuple[int, ...]]:
-    """Maximal conflict-free subsets of eligible, by size, then in combination order."""
-    masks = conflicts.masks
-    bits = {v: 1 << v for v in eligible}
-    everyone = sum(bits.values())
-    maximal = []
-    for r in range(1, len(eligible) + 1):
-        for combo in combinations(eligible, r):
-            members = blocked = 0
-            for v in combo:
-                members |= bits[v]
-                blocked |= masks.get(v, 0)
-            # independent, and every other eligible node conflicts with a member
-            if not blocked & members and not everyone & ~members & ~blocked:
-                maximal.append(tuple(sorted(combo)))
-    return maximal
+    """Maximal conflict-free subsets of eligible, each sorted, in unspecified order.
+
+    They are the maximal cliques of the complement of the conflict graph on
+    the eligible nodes.
+    """
+    everyone = sum(1 << v for v in eligible)
+    compatible = {v: everyone & ~conflicts.masks.get(v, 0) & ~(1 << v) for v in eligible}
+    return [tuple(_bits(s)) for s in _maximal_cliques(everyone, compatible)]
+
+
+def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
+    """The conflict-clique lower bound, as a function of the funnel counts.
+
+    A funnel count is the number of packets at or below a node, given in
+    `tree.non_sink_nodes()` order. The bound is the largest funnel sum over
+    the maximal cliques of the conflict graph on the non-sink nodes: every
+    member u of a clique still sends each of its packets once, and no two
+    members share a slot. At the tree's own demands (`subtree_demand`) it is
+    a lower bound on the cycle length.
+    """
+    order = tree.non_sink_nodes()
+    index = {u: i for i, u in enumerate(order)}
+    nodes = sum(1 << u for u in order)
+    neighbours = {u: conflicts.masks.get(u, 0) & nodes for u in order}
+    cliques = [[index[u] for u in _bits(k)] for k in _maximal_cliques(nodes, neighbours)]
+    return lambda funnel: max(sum(map(funnel.__getitem__, k)) for k in cliques)
 
 
 def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     """Exact minimum cycle length over all conflict-free delivering schedules.
 
-    Rejects instances with more than 8 nodes. A state is the buffer vector
-    packed into one int (see the module docstring): fields of
-    w = total.bit_length() + 1 bits, the first non-sink node in the most
-    significant one. Every field stays below 2^(w-1), so int order equals the
-    buffer-tuple order and the heap pops states in tuple order. A move is one
-    precomputed addition; a move that drives a buffer below zero borrows into
-    a spare top bit and raises AssertionError. The pruning bound is the
-    largest funnel count (packets at or below a node, each needing one of its
-    slots). Buffers are never negative, so that is a sink child's branch sum,
-    or the whole buffer sum when the sink children pairwise conflict. Both
-    relax true lower bounds, so the search never prunes the optimum.
+    Rejects instances with more than 8 nodes. A best-first search over
+    packed buffer states (see the module docstring): each slot fires one
+    maximal independent set of the nodes holding packets, enumerated by
+    Bron–Kerbosch once per distinct eligible set. The estimate is slots +
+    `_clique_bound`, which never overestimates the slots left and drops by
+    at most one per slot, so the first goal popped is optimal; equal
+    estimates pop the deepest state first. A move that drives a buffer below
+    zero borrows into a spare top bit and raises AssertionError.
     """
     if tree.n > MAX_ORACLE_NODES:
         raise TooLarge(f"exact search is limited to {MAX_ORACLE_NODES} nodes, got {tree.n}")
@@ -107,20 +163,18 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     low = sum(bit.values())
     high = low << (w - 1)
 
-    sink_children = tree.children.get(tree.sink, [])
-    branches = dict.fromkeys(sink_children, 0)  # field mask of each sink child's subtree
+    below = dict.fromkeys(order, 0)  # field mask of every node at or below u
     for u in order:
         a = u
-        while tree.parent[a] != tree.sink:
+        while a != tree.sink:
+            below[a] |= field * bit[u]
             a = tree.parent[a]
-        branches[a] |= field * bit[u]
-    masks = list(branches.values())
-    if len(sink_children) >= 2 and all(conflicts.conflicts(a, b) for a, b in combinations(sink_children, 2)):
-        masks = [low * field]  # every field: the whole buffer sum
+    masks = list(below.values())
+    clique_bound = _clique_bound(tree, conflicts)
 
     def bound(state: int) -> int:
         # multiplying by low sums the masked fields into the top field, without carries
-        return max((state & mask) * low >> top & field for mask in masks)
+        return clique_bound([(state & mask) * low >> top & field for mask in masks])
 
     moves_by_eligible: dict[int, list[int]] = {}
 
@@ -128,7 +182,8 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     frontier = [(bound(start), 0, start)]
     seen = {start: 0}
     while frontier:
-        _, slots, state = heapq.heappop(frontier)
+        _, neg_slots, state = heapq.heappop(frontier)
+        slots = -neg_slots
         if state == 0:
             return slots
         if slots > seen.get(state, slots):
@@ -147,7 +202,7 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
                 raise AssertionError(f"a move drives a buffer below zero from state {state:#x}")
             if cost < seen.get(nxt, cost + 1):
                 seen[nxt] = cost
-                heapq.heappush(frontier, (cost + bound(nxt), cost, nxt))
+                heapq.heappush(frontier, (cost + bound(nxt), -cost, nxt))
     raise AssertionError("search space exhausted without delivering all packets")
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trasa.experiment_cli import (
@@ -117,6 +118,16 @@ def test_config_validation(tmp_path):
     repeated.write_text("1 2\n1 3\n")
     with pytest.raises(ConfigError):
         _parse_rate(f"@{repeated}")  # a second line for node 1 is not a silent override
+
+
+def test_config_counts_must_be_integers():
+    # unchecked, runs=1.5 and n_values=[5.5] pass validate() and then raise TypeError
+    # in run_experiment, and max_children=2.5 or h=1.5 surface as the tree's ValueError
+    for bad in (dict(runs=1.5), dict(n_values=[5.5]), dict(max_children=2.5), dict(h=1.5), dict(runs=True), dict(gen_rate=True)):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_experiment(small_config(**bad))
+    wide = small_config(n_values=[np.int64(5)], runs=np.int64(2), h=np.int64(2), max_children=np.int64(3))
+    assert run_experiment(wide) == run_experiment(small_config(n_values=[5], runs=2, h=2, max_children=3))
 
 
 def test_emit_csv_refuses_empty_table(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
-from trasa.tree import Disconnected, Infeasible, build_spanning_tree
+from trasa.tree import Disconnected, Infeasible, build_spanning_tree, subtree_demand
 from trasa.scheduler import Variant, build_conflict_map, run_trasa, validate_schedule
 from trasa import oracle
 from trasa.oracle import (
@@ -79,9 +79,12 @@ def test_size_guard():
         optimal_schedule_length(t, cm)
 
 
-def test_search_matches_unpruned_brute_force():
-    # all-ones rates, then per-node rates 0-2: zero-demand nodes are never
-    # eligible, and multi-packet buffers reach one eligible set from many states
+def _small_instances():
+    """Instances with n 2-5 for the brute force: all-ones rates, then per-node rates 0-2.
+
+    Zero-demand nodes are never eligible, and multi-packet buffers reach one
+    eligible set from many states.
+    """
     for seed, per_node in ((2024, False), (2025, True)):
         rng = np.random.default_rng(seed)
         checked = 0
@@ -97,16 +100,21 @@ def test_search_matches_unpruned_brute_force():
                 continue
             h = int(rng.integers(1, 4))
             variant = Variant.ALL_LINKS if rng.integers(2) else Variant.TREE_ONLY
-            cm = build_conflict_map(g, t, variant, h)
-            assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
+            yield t, build_conflict_map(g, t, variant, h)
             checked += 1
+
+
+def test_search_matches_unpruned_brute_force():
+    for t, cm in _small_instances():
+        assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
 
 
 def _per_state_optimal_schedule_length(tree, conflicts) -> int:
     """The best-first search enumerating maximal sets afresh for every expanded state.
 
-    A reference for the library search, which enumerates them once per
-    eligible set: same bound, same tie-breaking, same heap pushes.
+    A reference for the library search: buffer tuples, the largest funnel
+    count as the bound (the whole buffer sum when the sink children pairwise
+    conflict), shallowest state first among equal estimates.
     """
     order = tree.non_sink_nodes()
     index = {u: i for i, u in enumerate(order)}
@@ -168,36 +176,32 @@ def _decode_state(tree, state):
     return fields
 
 
-def _record_pushes(monkeypatch, search, tree, conflicts, expected=None):
+def _record_pushes(monkeypatch, search, tree, conflicts):
     """Run search, returning its result and its heap pushes in order.
 
-    Int states (the library's packed buffers) are decoded to buffer tuples.
-    With expected, every push is checked as it is made and the run fails at
-    the first one that differs: a wrong buffer move can send a search
-    through endless states.
+    Int states (the library's packed buffers) are decoded to buffer tuples,
+    which checks the packed layout at every push.
     """
     pushes = []
     original_push = heapq.heappush
 
     def push(heap, item):
-        estimate, cost, state = item
-        decoded = (estimate, cost, _decode_state(tree, state)) if isinstance(state, int) else item
-        if expected is not None:
-            assert len(pushes) < len(expected) and decoded == expected[len(pushes)], f"push {len(pushes)} differs"
-        pushes.append(decoded)
+        estimate, order, state = item
+        pushes.append((estimate, order, _decode_state(tree, state)) if isinstance(state, int) else item)
         original_push(heap, item)
 
     with monkeypatch.context() as m:
         m.setattr(heapq, "heappush", push)
         result = search(tree, conflicts)
-    assert expected is None or pushes == expected
     return result, pushes
 
 
-def test_memoized_search_pushes_what_the_per_state_search_pushes(monkeypatch):
+def _grid():
+    """504 instances, every cell of the grid below once: n 2-8, both variants,
+    h 1-3, child limit 1-3, and rate 0, 1 or 2 everywhere or per-node 0-2."""
     rng = random.Random(4242)
     checked = 0
-    while checked < 504:  # every cell of the grid below, once
+    while checked < 504:
         n = 2 + checked % 7
         variant = list(Variant)[checked // 7 % 2]
         h = 1 + checked // 14 % 3
@@ -209,10 +213,56 @@ def test_memoized_search_pushes_what_the_per_state_search_pushes(monkeypatch):
             t = build_spanning_tree(g, max_children=max_children, gen_rate=rates)
         except (Disconnected, Infeasible):
             continue
-        cm = build_conflict_map(g, t, variant, h)
-        optimum, pushes = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
-        assert _record_pushes(monkeypatch, optimal_schedule_length, t, cm, pushes)[0] == optimum
+        yield t, build_conflict_map(g, t, variant, h)
         checked += 1
+
+
+def _check_start_bound(tree, conflicts, optimum) -> bool:
+    """Assert branch-sum bound <= clique bound <= optimum at the start state; return whether the bound is exact.
+
+    The branch-sum bound is the largest sink-child branch sum, or every
+    packet when the sink children pairwise conflict.
+    """
+    bound = oracle._clique_bound(tree, conflicts)([subtree_demand(tree, u) for u in tree.non_sink_nodes()])
+    children = tree.children.get(tree.sink, [])
+    branch_sum = max((subtree_demand(tree, c) for c in children), default=0)
+    if len(children) >= 2 and all(conflicts.conflicts(a, b) for a, b in itertools.combinations(children, 2)):
+        branch_sum = tree.total_generated()
+    assert branch_sum <= bound <= optimum
+    return bound == optimum
+
+
+def _funnels(tree, buffers):
+    """Packets at or below each non-sink node, for a buffer tuple in `non_sink_nodes()` order."""
+    order = tree.non_sink_nodes()
+    funnel = dict.fromkeys(order, 0)
+    for u, packets in zip(order, buffers):
+        while u != tree.sink:
+            funnel[u] += packets
+            u = tree.parent[u]
+    return [funnel[u] for u in order]
+
+
+def test_search_matches_per_state_reference_with_fewer_pushes(monkeypatch):
+    library_total = reference_total = 0
+    for t, cm in _grid():
+        optimum, reference = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
+        result, library = _record_pushes(monkeypatch, optimal_schedule_length, t, cm)
+        assert result == optimum
+        assert len(library) <= len(reference)
+        _check_start_bound(t, cm, optimum)
+        # every key is (slots + clique bound of the pushed buffers, -slots, state)
+        bound = oracle._clique_bound(t, cm)
+        for estimate, neg_slots, buffers in library:
+            assert neg_slots < 0 and estimate + neg_slots == bound(_funnels(t, buffers))
+        library_total += len(library)
+        reference_total += len(reference)
+    assert 4 * library_total <= reference_total
+
+
+def test_clique_bound_lies_between_branch_sum_and_optimum():
+    exact = sum(_check_start_bound(t, cm, _brute_force_minimum(t, cm)) for t, cm in _small_instances())
+    assert exact >= 1  # an inadmissible +1 cannot hide behind slack everywhere
 
 
 def test_maximal_sets_enumerated_once_per_eligible_set(monkeypatch):
@@ -223,16 +273,16 @@ def test_maximal_sets_enumerated_once_per_eligible_set(monkeypatch):
     original = oracle._maximal_independent_sets
 
     def counting(eligible, conflicts):
-        calls.append(tuple(eligible))
+        calls.append(frozenset(eligible))
         return original(eligible, conflicts)
 
     monkeypatch.setattr(oracle, "_maximal_independent_sets", counting)
-    optimum, pushes = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
-    per_state = list(calls)  # one call per expanded state
+    optimum = _per_state_optimal_schedule_length(t, cm)
+    per_state = len(calls)  # one call per expanded state
     calls.clear()
-    assert _record_pushes(monkeypatch, optimal_schedule_length, t, cm, pushes)[0] == optimum
-    assert calls == list(dict.fromkeys(per_state))  # each expanded eligible set once, first-seen order
-    assert len(calls) <= 2 ** (t.n - 1) < len(per_state)
+    assert optimal_schedule_length(t, cm) == optimum
+    assert len(set(calls)) == len(calls)  # no eligible set twice
+    assert len(calls) <= 2 ** (t.n - 1) and len(calls) < per_state
 
 
 def test_move_into_an_empty_buffer_fails_fast(monkeypatch):
@@ -284,7 +334,8 @@ def _reference_maximal_sets(eligible, conflicts):
     ]
 
 
-def test_mask_enumeration_matches_pairwise_maximal_sets_in_order():
+def test_mask_enumeration_matches_pairwise_maximal_sets():
+    """Same sets as the pairwise reference, each sorted; the order of the sets is not part of the contract."""
     rng = random.Random(88)
     checked = 0
     while checked < 150:
@@ -297,8 +348,8 @@ def test_mask_enumeration_matches_pairwise_maximal_sets_in_order():
         cm = build_conflict_map(g, t, rng.choice(list(Variant)), rng.randint(1, 3))
         eligible = [u for u in t.non_sink_nodes() if rng.random() < 0.8]
         if checked % 3 == 0:
-            rng.shuffle(eligible)  # the order of the input fixes the order of the output
-        assert _maximal_independent_sets(eligible, cm) == _reference_maximal_sets(eligible, cm)
+            rng.shuffle(eligible)  # the order of the input changes nothing
+        assert sorted(_maximal_independent_sets(eligible, cm)) == sorted(_reference_maximal_sets(eligible, cm))
         checked += 1
 
 

@@ -37,15 +37,22 @@ def chain():
 
 def test_child_limit_and_hop_count_must_be_integers():
     g = generate_random_graph(30, (1.0, 1.0), 0.5, seed=3)
-    for bad in (0, 2.5, math.nan):  # unchecked, 2.5 would allow 3 children and NaN no limit
+    # unchecked, 2.5 would allow 3 children, NaN no limit and True a limit of 1
+    for bad in (0, 2.5, math.nan, True, np.True_):
         with pytest.raises(ValueError, match="max_children"):
             build_spanning_tree(g, max_children=bad)
     t = build_spanning_tree(g, max_children=np.int64(3))
     assert t.parent == build_spanning_tree(g, max_children=3).parent
     assert max(map(len, t.children.values())) <= 3
-    for bad in (0, 1.5):
+    for bad in (0, 1.5, True, np.True_):
         with pytest.raises(ValueError, match="h must"):
             build_conflict_map(g, t, Variant.ALL_LINKS, bad)
+    for rate in (True, {1: np.True_}):
+        with pytest.raises(ValueError, match="gen_rate"):
+            build_spanning_tree(g, max_children=3, gen_rate=rate)
+    assert build_spanning_tree(g, max_children=3, gen_rate={1: np.int64(2)}).gen_rate[1] == 2
+    with pytest.raises(ValueError, match="length"):
+        Schedule(True, {})
     assert build_conflict_map(g, t, Variant.ALL_LINKS, np.int64(2)) == build_conflict_map(g, t, Variant.ALL_LINKS, 2)
 
 
