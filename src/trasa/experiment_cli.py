@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError("h must be >= 1")
         if _config_integer(self.max_children, "max_children") < 1:
             raise ConfigError("max_children must be >= 1")
-        if self.heuristic not in (1, 2):
+        if _config_integer(self.heuristic, "heuristic") not in (1, 2):
             raise ConfigError("heuristic must be 1 or 2")
         if not isinstance(self.variant, Variant):
             raise ConfigError("variant must be a Variant")
@@ -105,6 +105,10 @@ class ExperimentConfig:
             raise ConfigError("uniform rate must be >= 1")
         if not isinstance(self.gen_rate, int) and self.rates_by_node is None:
             raise ConfigError(f"unresolved rate setting {self.gen_rate!r}")
+        for u, rate in (self.rates_by_node or {}).items():
+            _config_integer(u, "rate file node id")
+            if _config_integer(rate, f"rate of node {u}") < 0:
+                raise ConfigError(f"negative rate for node {u}")
         top = max(self.n_values)
         bad = sorted(u for u in self.rates_by_node or () if u == SINK or not 0 <= u < top)
         if bad:

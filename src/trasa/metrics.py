@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .tree import SpanningTree, subtree_demand
+from .tree import SpanningTree
 
 if TYPE_CHECKING:
     from .scheduler import Schedule
@@ -143,13 +143,15 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
 def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
     """Aggregate a replay into the cycle-level evaluation measures.
 
-    slot_reuse is total packet-transmissions per slot; avg_delay counts slots
-    from cycle start, 1-based (a packet arriving in the first slot has delay 1).
-    max_buffer is the highest level after any slot: every change point holds
-    for at least one slot of a non-empty cycle.
+    slot_reuse is the schedule's packet-transmissions (the sum of its
+    interval widths) per slot; avg_delay counts slots from cycle start,
+    1-based (a packet arriving in the first slot has delay 1). max_buffer is
+    the highest level after any slot: every change point holds for at least
+    one slot of a non-empty cycle. `tree` is not read; it stays in the
+    signature for existing callers.
     """
     length = schedule.length
-    total_tx = sum(subtree_demand(tree, u) for u in tree.non_sink_nodes())
+    total_tx = sum(width for intervals in schedule.allocations.values() for _, width in intervals)
     slot_reuse = total_tx / length if length else 0.0
     delays = [slot + 1 for _, slot in trace.packet_arrivals]
     avg_delay = sum(delays) / len(delays) if delays else 0.0

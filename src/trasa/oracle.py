@@ -3,41 +3,29 @@ constructive mappings between precedence colorings and schedules.
 
 The exact search walks buffer-vector states best-first (A*): each slot fires
 a maximal independent set of pending transmitters, and an admissible lower
-bound on the slots left orders and prunes the frontier. The maximal sets
-depend only on which nodes hold packets, so each search enumerates them once
-per distinct eligible set, with Bron–Kerbosch on the complement of the
-conflict graph, and keeps them as buffer moves. It is meant for tiny
-instances only.
-
-A buffer vector is packed into one int. With T packets in total, each
-non-sink node owns a field of w = T.bit_length() + 1 bits, the first of
-`tree.non_sink_nodes()` in the most significant field. No buffer exceeds T
-< 2^(w-1), so every field keeps a spare top bit clear; with equal widths and
-an equal field count, int order is therefore the lexicographic order of the
-buffer tuples, and heap ties break as they would on tuples. With L the
-lowest and H the top bit of every field:
-
-- a move is one precomputed addition (-2^off(u) per transmitter u, plus
-  2^off(parent) unless the parent is the sink); a move that drives a field
-  below zero borrows into a top bit, so `state & H` catches it;
-- `((state | H) - L) & H` keeps the top bit of exactly the nonempty fields,
-  the key of the eligible set;
-- `(state & mask) * L` sums the masked fields into the top field without
-  carries, since no sum exceeds T.
+bound on the slots left orders and prunes the frontier. A state is the tuple
+of buffers in `tree.non_sink_nodes()` order. The maximal sets depend only on
+which nodes hold packets, so each search enumerates them once per distinct
+eligible set, with Bron–Kerbosch on the complement of the conflict graph,
+and keeps them as buffer deltas. It is meant for tiny instances only
+(`MAX_ORACLE_NODES`).
 
 The bound is the conflict-clique bound. A node's funnel count f(u) is the
 number of packets at or below it; u must still send each of them once. Two
 members of a clique K of the conflict graph never share a slot, so at least
 the sum of f(u) over K slots remain. The bound is the largest such sum over
 the maximal cliques on the non-sink nodes, which Bron–Kerbosch enumerates
-once per search. Every node lies in some maximal clique, and sink children
-that pairwise conflict lie in one together, so the bound is never below a
-sink child's branch sum, nor below the whole buffer sum in that case. A
-sender's own count drops by one and no other count drops, and at most one
-member of a clique sends per slot, so the bound drops by at most one per
-slot; the first goal popped is therefore optimal. Among states with equal
-slots + bound the heap pops the deepest first, so the search dives towards
-a goal instead of widening every state of that estimate first.
+once per search. A packet buffered at v passes every node of path(v), v and
+its ancestors below the sink, so the sum over K equals the sum of b_v times
+|K ∩ path(v)| over the buffers b_v: one dot product per clique. Every node
+lies in some maximal clique, and sink children that pairwise conflict lie in
+one together, so the bound is never below a sink child's branch sum, nor
+below the whole buffer sum in that case. A sender's own count drops by one
+and no other count drops, and at most one member of a clique sends per slot,
+so the bound drops by at most one per slot; the first goal popped is
+therefore optimal. Among states with equal slots + bound the heap pops the
+deepest first, so the search dives towards a goal instead of widening every
+state of that estimate first.
 """
 
 from __future__ import annotations
@@ -46,6 +34,7 @@ import heapq
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add, mul
 
 from .scheduler import ConflictMap, Schedule
 from .tree import SpanningTree, subtree_demand
@@ -107,7 +96,7 @@ def _maximal_cliques(candidates: int, neighbours: dict[int, int]) -> list[int]:
     return cliques
 
 
-def _maximal_independent_sets(eligible: list[int], conflicts: ConflictMap) -> list[tuple[int, ...]]:
+def _maximal_independent_sets(eligible: Sequence[int], conflicts: ConflictMap) -> list[tuple[int, ...]]:
     """Maximal conflict-free subsets of eligible, each sorted, in unspecified order.
 
     They are the maximal cliques of the complement of the conflict graph on
@@ -119,87 +108,73 @@ def _maximal_independent_sets(eligible: list[int], conflicts: ConflictMap) -> li
 
 
 def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
-    """The conflict-clique lower bound, as a function of the funnel counts.
+    """The conflict-clique lower bound, as a function of the buffers.
 
-    A funnel count is the number of packets at or below a node, given in
-    `tree.non_sink_nodes()` order. The bound is the largest funnel sum over
-    the maximal cliques of the conflict graph on the non-sink nodes: every
-    member u of a clique still sends each of its packets once, and no two
-    members share a slot. At the tree's own demands (`subtree_demand`) it is
-    a lower bound on the cycle length.
+    Buffers are given in `tree.non_sink_nodes()` order. The bound is the
+    largest funnel sum over the maximal cliques of the conflict graph on the
+    non-sink nodes, computed per clique K as the buffers weighted by the
+    number of members of K on each node's path to the sink; 0 with no node.
+    At the tree's own rates (`gen_rate`) it is a lower bound on the cycle
+    length.
     """
     order = tree.non_sink_nodes()
-    index = {u: i for i, u in enumerate(order)}
     nodes = sum(1 << u for u in order)
     neighbours = {u: conflicts.masks.get(u, 0) & nodes for u in order}
-    cliques = [[index[u] for u in _bits(k)] for k in _maximal_cliques(nodes, neighbours)]
-    return lambda funnel: max(sum(map(funnel.__getitem__, k)) for k in cliques)
+    above = {tree.sink: 0}  # v and its ancestors below the sink, as a mask
+    for v in sorted(order, key=tree.depth.__getitem__):
+        above[v] = 1 << v | above[tree.parent[v]]
+    weights = [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques(nodes, neighbours)]
+    return lambda buffers: max((sum(map(mul, buffers, w)) for w in weights), default=0)
 
 
 def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     """Exact minimum cycle length over all conflict-free delivering schedules.
 
-    Rejects instances with more than 8 nodes. A best-first search over
-    packed buffer states (see the module docstring): each slot fires one
-    maximal independent set of the nodes holding packets, enumerated by
+    Rejects instances with more than `MAX_ORACLE_NODES` nodes. A best-first
+    search over buffer tuples (see the module docstring): each slot fires
+    one maximal independent set of the nodes holding packets, enumerated by
     Bron–Kerbosch once per distinct eligible set. The estimate is slots +
     `_clique_bound`, which never overestimates the slots left and drops by
     at most one per slot, so the first goal popped is optimal; equal
     estimates pop the deepest state first. A move that drives a buffer below
-    zero borrows into a spare top bit and raises AssertionError.
+    zero raises AssertionError.
     """
     if tree.n > MAX_ORACLE_NODES:
         raise TooLarge(f"exact search is limited to {MAX_ORACLE_NODES} nodes, got {tree.n}")
 
     order = tree.non_sink_nodes()
-    total = tree.total_generated()
-    if total == 0:
-        return 0
+    index = {u: i for i, u in enumerate(order)}
+    bound = _clique_bound(tree, conflicts)
+    moves_by_eligible: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    w = total.bit_length() + 1
-    top = (len(order) - 1) * w
-    field = (1 << w) - 1
-    bit = {u: 1 << (top - i * w) for i, u in enumerate(order)}  # lowest bit of u's field
-    low = sum(bit.values())
-    high = low << (w - 1)
-
-    below = dict.fromkeys(order, 0)  # field mask of every node at or below u
-    for u in order:
-        a = u
-        while a != tree.sink:
-            below[a] |= field * bit[u]
-            a = tree.parent[a]
-    masks = list(below.values())
-    clique_bound = _clique_bound(tree, conflicts)
-
-    def bound(state: int) -> int:
-        # multiplying by low sums the masked fields into the top field, without carries
-        return clique_bound([(state & mask) * low >> top & field for mask in masks])
-
-    moves_by_eligible: dict[int, list[int]] = {}
-
-    start = sum(tree.gen_rate[u] * bit[u] for u in order)
+    start = tuple(tree.gen_rate[u] for u in order)
     frontier = [(bound(start), 0, start)]
     seen = {start: 0}
     while frontier:
         _, neg_slots, state = heapq.heappop(frontier)
         slots = -neg_slots
-        if state == 0:
+        if not any(state):
             return slots
         if slots > seen.get(state, slots):
             continue
-        eligible = ((state | high) - low) & high  # top bit of every nonempty field
+        eligible = tuple(u for u, packets in zip(order, state) if packets)
         moves = moves_by_eligible.get(eligible)
         if moves is None:
-            sets = _maximal_independent_sets([u for u in order if eligible & bit[u] << (w - 1)], conflicts)
-            # each transmitter leaves its own field and enters its parent's (none for the sink)
-            moves = [sum(bit.get(tree.parent[u], 0) - bit[u] for u in s) for s in sets]
+            moves = []
+            for s in _maximal_independent_sets(eligible, conflicts):
+                # each transmitter's packet leaves its buffer for its parent's (none for the sink)
+                delta = [0] * len(order)
+                for u in s:
+                    delta[index[u]] -= 1
+                    if tree.parent[u] != tree.sink:
+                        delta[index[tree.parent[u]]] += 1
+                moves.append(tuple(delta))
             moves_by_eligible[eligible] = moves
         cost = slots + 1
         for delta in moves:
-            nxt = state + delta
-            if nxt & high:
-                raise AssertionError(f"a move drives a buffer below zero from state {state:#x}")
+            nxt = tuple(map(add, state, delta))
+            if min(nxt) < 0:
+                raise AssertionError(f"a move drives a buffer below zero from state {state}")
             if cost < seen.get(nxt, cost + 1):
                 seen[nxt] = cost
                 heapq.heappush(frontier, (cost + bound(nxt), -cost, nxt))

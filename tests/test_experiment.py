@@ -112,6 +112,8 @@ def test_config_validation(tmp_path):
         with pytest.raises(ConfigError):
             small_config(gen_rate="@rates", rates_by_node={1: 2, node: 5}).validate()
     small_config(gen_rate="@rates", rates_by_node={1: 2, 7: 5}).validate()
+    with pytest.raises(ConfigError, match="negative rate for node 1"):
+        small_config(gen_rate="@rates", rates_by_node={1: -2}).validate()
     with pytest.raises(ConfigError):
         small_config(gen_rate="@rates").validate()  # an @file setting with no rates read
     repeated = tmp_path / "repeated.txt"
@@ -122,8 +124,15 @@ def test_config_validation(tmp_path):
 
 def test_config_counts_must_be_integers():
     # unchecked, runs=1.5 and n_values=[5.5] pass validate() and then raise TypeError
-    # in run_experiment, and max_children=2.5 or h=1.5 surface as the tree's ValueError
-    for bad in (dict(runs=1.5), dict(n_values=[5.5]), dict(max_children=2.5), dict(h=1.5), dict(runs=True), dict(gen_rate=True)):
+    # in run_experiment, max_children=2.5, h=1.5 and a per-node rate of 1.5 or True
+    # surface as the tree's ValueError, heuristic=True fails in emit_csv after the
+    # whole sweep, heuristic=2.0 puts a float in the rows, and a rate-file node id of
+    # 1.5 is ignored while True is read as node 1
+    per_node = [dict(gen_rate="@rates", rates_by_node=rates) for rates in ({1: 1.5}, {1: True}, {1.5: 3}, {True: 4})]
+    for bad in (
+        dict(runs=1.5), dict(n_values=[5.5]), dict(max_children=2.5), dict(h=1.5), dict(runs=True),
+        dict(gen_rate=True), dict(heuristic=True), dict(heuristic=2.0), *per_node,
+    ):
         with pytest.raises(ConfigError, match="must be an integer"):
             run_experiment(small_config(**bad))
     wide = small_config(n_values=[np.int64(5)], runs=np.int64(2), h=np.int64(2), max_children=np.int64(3))

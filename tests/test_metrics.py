@@ -4,7 +4,7 @@ import random
 import pytest
 
 from trasa.experiment_cli import ExperimentConfig, sample_instance
-from trasa.tree import build_spanning_tree, subtree_demand
+from trasa.tree import build_spanning_tree
 from trasa.scheduler import (
     CAUSALITY,
     CONFLICT,
@@ -50,6 +50,11 @@ def test_chain_metrics_hand_values(chain_run):
     assert m.avg_delay == pytest.approx(2.0)
     assert m.max_buffer == 1
     assert m.total_switches == 4
+    # without node 1's second interval, node 2's packet stays at node 1: two sends in three slots
+    short = Schedule(s.length, {1: s.allocations[1][:1], 2: s.allocations[2]})
+    trace = replay_schedule(short, t)
+    assert trace.packet_arrivals == [(1, 0)]
+    assert compute_metrics(trace, short, t).slot_reuse == pytest.approx(2 / 3)
 
 
 def test_star_replay_and_metrics():
@@ -169,11 +174,11 @@ def _reference_replay(schedule, tree):
 def _reference_metrics(reference, schedule, tree):
     buffer_series, arrivals, intervals = reference
     length = schedule.length
-    total_tx = sum(subtree_demand(tree, u) for u in tree.non_sink_nodes())
+    sends = sum(map(len, _per_slot(schedule).values()))  # the dense replay moves one packet per entry
     delays = [slot + 1 for _, slot in arrivals]
     return Metrics(
         cycle_length=length,
-        slot_reuse=total_tx / length if length else 0.0,
+        slot_reuse=sends / length if length else 0.0,
         avg_delay=sum(delays) / len(delays) if delays else 0.0,
         max_buffer=max((lvl for series in buffer_series.values() for lvl in series), default=0),
         total_switches=sum(intervals.values()),

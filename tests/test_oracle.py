@@ -70,6 +70,10 @@ def test_chain_and_star_examples():
     cms = build_conflict_map(star, ts, Variant.ALL_LINKS, 2)
     assert optimal_schedule_length(ts, cms) == 3
 
+    alone = generate_random_graph(1, (1.0, 1.0), 0.4, seed=0)  # the sink only: nothing to send
+    t1 = build_spanning_tree(alone, max_children=3)
+    assert optimal_schedule_length(t1, build_conflict_map(alone, t1, Variant.ALL_LINKS, 2)) == 0
+
 
 def test_size_guard():
     g = generate_random_graph(9, (1.0, 1.0), 0.9, seed=1)
@@ -162,32 +166,13 @@ def _per_state_optimal_schedule_length(tree, conflicts) -> int:
     raise AssertionError("unreachable")
 
 
-def _decode_state(tree, state):
-    """The buffer tuple of a packed int state.
-
-    Fields of w = total.bit_length() + 1 bits, the first non-sink node in
-    the most significant one; every field keeps its top bit clear.
-    """
-    order = tree.non_sink_nodes()
-    w = tree.total_generated().bit_length() + 1
-    fields = tuple(state >> (len(order) - 1 - i) * w & (1 << w) - 1 for i in range(len(order)))
-    assert state == sum(b << (len(order) - 1 - i) * w for i, b in enumerate(fields))
-    assert all(b < 1 << w - 1 for b in fields)
-    return fields
-
-
 def _record_pushes(monkeypatch, search, tree, conflicts):
-    """Run search, returning its result and its heap pushes in order.
-
-    Int states (the library's packed buffers) are decoded to buffer tuples,
-    which checks the packed layout at every push.
-    """
+    """Run search, returning its result and its heap pushes in order."""
     pushes = []
     original_push = heapq.heappush
 
     def push(heap, item):
-        estimate, order, state = item
-        pushes.append((estimate, order, _decode_state(tree, state)) if isinstance(state, int) else item)
+        pushes.append(item)
         original_push(heap, item)
 
     with monkeypatch.context() as m:
@@ -220,10 +205,13 @@ def _grid():
 def _check_start_bound(tree, conflicts, optimum) -> bool:
     """Assert branch-sum bound <= clique bound <= optimum at the start state; return whether the bound is exact.
 
-    The branch-sum bound is the largest sink-child branch sum, or every
-    packet when the sink children pairwise conflict.
+    The library's bound at the rates must equal the funnel form at the
+    subtree demands. The branch-sum bound is the largest sink-child branch
+    sum, or every packet when the sink children pairwise conflict.
     """
-    bound = oracle._clique_bound(tree, conflicts)([subtree_demand(tree, u) for u in tree.non_sink_nodes()])
+    order = tree.non_sink_nodes()
+    bound = oracle._clique_bound(tree, conflicts)([tree.gen_rate[u] for u in order])
+    assert bound == _funnel_clique_bound(tree, conflicts)([subtree_demand(tree, u) for u in order])
     children = tree.children.get(tree.sink, [])
     branch_sum = max((subtree_demand(tree, c) for c in children), default=0)
     if len(children) >= 2 and all(conflicts.conflicts(a, b) for a, b in itertools.combinations(children, 2)):
@@ -243,6 +231,20 @@ def _funnels(tree, buffers):
     return [funnel[u] for u in order]
 
 
+def _funnel_clique_bound(tree, conflicts):
+    """The clique bound in its funnel form, as a function of the funnel counts.
+
+    The largest funnel sum over the maximal cliques of the conflict graph on
+    the non-sink nodes (0 with no node); the library evaluates the same sum
+    from the buffers instead.
+    """
+    order = tree.non_sink_nodes()
+    nodes = sum(1 << u for u in order)
+    cliques = oracle._maximal_cliques(nodes, {u: conflicts.masks.get(u, 0) & nodes for u in order})
+    members = [[i for i, u in enumerate(order) if k >> u & 1] for k in cliques]
+    return lambda funnel: max((sum(funnel[i] for i in k) for k in members), default=0)
+
+
 def test_search_matches_per_state_reference_with_fewer_pushes(monkeypatch):
     library_total = reference_total = 0
     for t, cm in _grid():
@@ -251,8 +253,8 @@ def test_search_matches_per_state_reference_with_fewer_pushes(monkeypatch):
         assert result == optimum
         assert len(library) <= len(reference)
         _check_start_bound(t, cm, optimum)
-        # every key is (slots + clique bound of the pushed buffers, -slots, state)
-        bound = oracle._clique_bound(t, cm)
+        # every key is (slots + funnel-form clique bound of the pushed buffers, -slots, buffers)
+        bound = _funnel_clique_bound(t, cm)
         for estimate, neg_slots, buffers in library:
             assert neg_slots < 0 and estimate + neg_slots == bound(_funnels(t, buffers))
         library_total += len(library)
