@@ -5,6 +5,12 @@ node with pending demand and packs every other non-interfering pending node
 into the same window, so a slot is only appended to the cycle when pending
 nodes cannot share the last one. Demand moves to the parent the moment a
 node is scheduled, which is what makes the allocation traffic-proportional.
+
+`run_trasa` sorts the nodes once by priority and keeps the pending ones as
+two int bitmasks, one by priority rank (the walk order) and one by node id
+(the conflict masks' space). A window closes as soon as no node of its
+snapshot left to walk can join, so its cost follows the allocations it
+makes, not the number of pending nodes.
 """
 
 from __future__ import annotations
@@ -143,21 +149,26 @@ class Schedule:
         return s + w - 1
 
 
+def _check_heuristic(heuristic) -> int:
+    heuristic = _integer(heuristic, "heuristic")
+    if heuristic not in (1, 2):
+        raise ValueError("heuristic must be 1 or 2")
+    return heuristic
+
+
 def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int, int]:
     """Sortable priority key; lower sorts first (= higher priority).
 
     Heuristic 1 favors many descendants, heuristic 2 few. Ties break by depth
     then node id in both, giving a total order.
     """
+    heuristic = _check_heuristic(heuristic)
     if u == tree.sink:
         raise ValueError("the sink is never scheduled")
     if u not in tree.depth:
         raise ValueError(f"node {u} not in tree")
-    if heuristic == 1:
-        return (-tree.descendants[u], tree.depth[u], u)
-    if heuristic == 2:
-        return (tree.descendants[u], tree.depth[u], u)
-    raise ValueError("heuristic must be 1 or 2")
+    sign = -1 if heuristic == 1 else 1
+    return (sign * tree.descendants[u], tree.depth[u], u)
 
 
 def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) -> Schedule:
@@ -166,51 +177,67 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     Loop until no node has pending demand: snapshot the pending nodes in
     priority order; give the head a window of slots equal to its whole demand,
     appended to the cycle; then walk the rest of the snapshot in priority
-    order and pack each node whose demand is still nonzero and which does not
-    interfere with any occupant of the window, extending the window when the
-    packed demand exceeds its current width. Scheduled demand transfers to
-    the parent immediately, so it competes in later windows.
+    order and pack each node which does not interfere with any occupant of
+    the window, with its live demand, extending the window when that demand
+    exceeds its current width. Scheduled demand transfers to the parent
+    immediately, so it competes in later windows (a parent outside the
+    snapshot does not join the running walk).
 
     The priority key is static, so the nodes that ever carry demand are
-    sorted once and every snapshot filters that order.
+    sorted once into `order`. `pending` has bit i set when `order[i]` holds
+    demand and `pend_ids` bit u when node u does; the sink has no bit. The
+    snapshot is `pending` when the window opens. `open_ids` holds the
+    snapshot's nodes not yet allocated in this window, so the window closes
+    once `open_ids & ~blocked` is empty: no node left in the walk can join.
     """
+    heuristic = _check_heuristic(heuristic)
     parent = tree.parent
+    sink = tree.sink
     masks = conflicts.masks
     remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
-    remaining[tree.sink] = 0
+    remaining[sink] = 0
     allocations: dict[int, list[tuple[int, int]]] = {u: [] for u in tree.non_sink_nodes()}
     order = sorted(
         (u for u in allocations if subtree_demand(tree, u) > 0),
         key=lambda u: node_priority(tree, u, heuristic),
     )
+    rank_bit = {u: 1 << i for i, u in enumerate(order)}
+    pending = pend_ids = 0
+    for u in order:
+        if remaining[u] > 0:
+            pending |= rank_bit[u]
+            pend_ids |= 1 << u
     cycle_end = 0
 
-    snapshot = [u for u in order if remaining[u] > 0]
-    while snapshot:
-        head = snapshot[0]
+    while pending:
+        walk = pending
+        open_ids = pend_ids
         window_start = cycle_end
-        demand = remaining[head]
-        cycle_end = window_start + demand
-        allocations[head].append((window_start, demand))
-        remaining[head] = 0
-        remaining[parent[head]] += demand
-        blocked = masks.get(head, 0)  # nodes conflicting with some occupant
-
-        for v in snapshot[1:]:
-            demand = remaining[v]  # read live; may differ from snapshot time
-            if demand == 0 or blocked >> v & 1:
+        blocked = 0  # nodes conflicting with some occupant
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            v = order[low.bit_length() - 1]
+            if blocked >> v & 1:
                 continue
-            width = cycle_end - window_start
-            if demand > width:
-                cycle_end += demand - width
+            demand = remaining[v]  # read live; may exceed the snapshot's
+            if window_start + demand > cycle_end:
+                cycle_end = window_start + demand
             allocations[v].append((window_start, demand))
             remaining[v] = 0
-            remaining[parent[v]] += demand
+            pending ^= low
+            pend_ids ^= 1 << v
+            p = parent[v]
+            remaining[p] += demand
+            if p != sink:
+                pending |= rank_bit[p]
+                pend_ids |= 1 << p
             blocked |= masks.get(v, 0)
+            open_ids ^= 1 << v
+            if not open_ids & ~blocked:
+                break
 
-        snapshot = [u for u in order if remaining[u] > 0]
-
-    assert remaining[tree.sink] == tree.total_generated()
+    assert remaining[sink] == tree.total_generated()
     return Schedule(cycle_end, allocations)
 
 

@@ -9,6 +9,7 @@ generator so that a (n, area, range, seed) tuple pins the topology exactly.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from collections.abc import Sequence
 
@@ -42,7 +43,7 @@ class NetworkGraph:
             raise ValueError("node positions must be finite")
         self.range_r = float(range_r)
         self.area = (float(area[0]), float(area[1]))
-        self.seed = int(seed)
+        self.seed = _integer(seed, "seed")
         self._adjacency = _derive_adjacency(self.positions, self.range_r)
 
     @property
@@ -70,6 +71,21 @@ class NetworkGraph:
             raise ValueError(f"node {u} not in graph of {self.n} nodes")
 
 
+def _integer(value, what: str) -> int:
+    """value as an int if it is integral (a Python or numpy integer), else ValueError; never truncates.
+
+    A bool is an int subclass but not a count, so True and numpy.True_ are rejected too.
+    """
+    if type(value) is int:  # the common case, checked first: schedules convert every interval
+        return value
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _derive_adjacency(
     positions: tuple[tuple[float, float], ...], range_r: float
 ) -> list[frozenset[int]]:
@@ -91,6 +107,8 @@ def generate_random_graph(
     (PCG64) seeded with `seed`; identical inputs give a bit-identical graph.
     Connectivity is not enforced here, check is_connected separately.
     """
+    n = _integer(n, "n")
+    seed = _integer(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)

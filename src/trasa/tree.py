@@ -21,12 +21,9 @@ first would give.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Mapping
 
-import numpy as np
-
-from .topology import SINK, NetworkGraph, is_connected
+from .topology import SINK, NetworkGraph, _integer, is_connected
 
 
 class Disconnected(ValueError):
@@ -76,21 +73,6 @@ class SpanningTree:
 
     def total_generated(self) -> int:
         return sum(self.gen_rate[u] for u in self.non_sink_nodes())
-
-
-def _integer(value, what: str) -> int:
-    """value as an int if it is integral (a Python or numpy integer), else ValueError; never truncates.
-
-    A bool is an int subclass but not a count, so True and numpy.True_ are rejected too.
-    """
-    if type(value) is int:  # the common case, checked first: schedules convert every interval
-        return value
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _normalize_rates(nodes: list[int], sink: int, gen_rate) -> dict[int, int]:

@@ -25,14 +25,16 @@ def chain3() -> NetworkGraph:
     return chain_graph(3)
 
 
-def random_tree(rng, n_range, rate):
+def random_tree(rng, n_range, rate, range_r=None):
     """A seeded tree on a random unit-disk graph, redrawing unusable topologies.
 
     rate "mixed" draws 0..3 packets per node, so some subtrees carry no demand.
+    The range defaults to 1.2/sqrt(n), a sparse graph at every n.
     """
     while True:
         n = rng.randint(*n_range)
-        g = generate_random_graph(n, (1.0, 1.0), 1.2 / math.sqrt(n), seed=rng.randrange(2**32))
+        r = 1.2 / math.sqrt(n) if range_r is None else range_r
+        g = generate_random_graph(n, (1.0, 1.0), r, seed=rng.randrange(2**32))
         gen_rate = {u: rng.randint(0, 3) for u in range(n)} if rate == "mixed" else rate
         try:
             return g, build_spanning_tree(g, max_children=rng.randint(2, 4), gen_rate=gen_rate)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from collections import deque
 
@@ -13,6 +14,7 @@ from trasa.scheduler import (
     CAUSALITY,
     CONFLICT,
     DELIVERY,
+    ConflictMap,
     Schedule,
     Variant,
     build_conflict_map,
@@ -205,16 +207,91 @@ def _reference_run_trasa(tree, conflicts, heuristic):
     return Schedule(cycle_end, allocations)
 
 
+def _assert_matches_reference(t, cm, heuristic, *context):
+    got = run_trasa(t, cm, heuristic)
+    expected = _reference_run_trasa(t, cm, heuristic)
+    assert dump_schedule(got, t) == dump_schedule(expected, t), context
+    assert got.allocations == expected.allocations
+
+
 def test_sort_once_bitmask_trasa_matches_resorting_loop():
     rng = random.Random(1712)
+    # sparse graphs (range 1.2/sqrt(n)): windows hold many nodes
     cases = list(itertools.product(Variant, (1, 2, 3), (1, 2), (1, 2, 3, "mixed"))) * 5
     for variant, h, heuristic, rate in cases:
         g, t = random_tree(rng, (2, 40), rate)
-        cm = build_conflict_map(g, t, variant, h)
-        got = run_trasa(t, cm, heuristic)
-        expected = _reference_run_trasa(t, cm, heuristic)
-        assert dump_schedule(got, t) == dump_schedule(expected, t), (variant, h, heuristic, rate, g.n)
-        assert got.allocations == expected.allocations
+        _assert_matches_reference(t, build_conflict_map(g, t, variant, h), heuristic, variant, h, rate, g.n)
+    # the default sweep's density (range 0.4): most windows close right after the head
+    for variant, h, heuristic, rate in list(itertools.product(Variant, (1, 2, 3), (1, 2), (1, "mixed"))) * 3:
+        g, t = random_tree(rng, (20, 100), rate, range_r=0.4)
+        _assert_matches_reference(t, build_conflict_map(g, t, variant, h), heuristic, variant, h, rate, g.n)
+    # no conflicts at all: a child and its parent share a window, and a parent
+    # walked after its child sends the child's packets in the same window
+    for heuristic, rate in itertools.product((1, 2), (1, 2, "mixed")):
+        g, t = random_tree(rng, (2, 40), rate)
+        _assert_matches_reference(t, ConflictMap(Variant.ALL_LINKS, 1, {}), heuristic, heuristic, rate, g.n)
+
+
+def test_trasa_without_conflicts_reads_live_demand():
+    t = build_spanning_tree(chain_graph(4), max_children=3)
+    free = ConflictMap(Variant.ALL_LINKS, 1, {})
+    # leaf first: 3 sends 1, then 2 sends its own and 3's, then 1 sends all three
+    s = run_trasa(t, free, 2)
+    assert s.length == 3
+    assert s.allocations == {3: [(0, 1)], 2: [(0, 2)], 1: [(0, 3)]}
+    # sink child first: a parent already walked waits for the next window
+    s = run_trasa(t, free, 1)
+    assert s.length == 3
+    assert s.allocations == {1: [(0, 1), (1, 1), (2, 1)], 2: [(0, 1), (1, 1)], 3: [(0, 1)]}
+
+
+def _run_trasa_line_events(tree, conflicts):
+    """Lines executed in run_trasa's own frame: a count of the loop's work that does not depend on timing."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is run_trasa.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run_trasa(tree, conflicts, 1)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_window_closes_once_no_snapshot_node_can_join():
+    # on a star at h=2 every leaf conflicts with every other, so each window
+    # holds one leaf; walking every pending leaf per window would cost k^2/2
+    lines = {}
+    for k in (100, 200):
+        g = star_graph(k + 1)
+        t = build_spanning_tree(g, max_children=k)
+        cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+        assert run_trasa(t, cm, 1).length == k
+        lines[k] = _run_trasa_line_events(t, cm)
+    assert lines[200] < 2.5 * lines[100]  # linear in the allocations, not quadratic
+
+
+def test_heuristic_must_be_one_or_two():
+    g = generate_random_graph(10, (1.0, 1.0), 0.6, seed=3)
+    for rate in (1, 0):  # with zero demand no priority is ever computed
+        t = build_spanning_tree(g, max_children=3, gen_rate=rate)
+        cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+        for bad in (True, np.True_, 1.0, 2.0, 0, 3, 7, "1"):
+            with pytest.raises(ValueError, match="heuristic"):
+                run_trasa(t, cm, bad)
+            with pytest.raises(ValueError, match="heuristic"):
+                node_priority(t, 1, bad)
+        for heuristic in (1, 2):
+            assert run_trasa(t, cm, np.int64(heuristic)).allocations == run_trasa(t, cm, heuristic).allocations
+            assert node_priority(t, 1, np.int32(heuristic)) == node_priority(t, 1, heuristic)
 
 
 def test_trasa_chain_hand_trace(chain):

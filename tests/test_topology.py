@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from trasa.topology import (
@@ -164,6 +165,21 @@ def test_non_finite_geometry_is_rejected():
     for coords in ("nan 0.5", "0.5 inf", "-inf -inf"):
         with pytest.raises(ValueError, match="positions"):
             parse_graph(f"graph 1 0.4 1 1 0\n0 {coords}\n")
+
+
+def test_node_count_and_seed_must_be_integers():
+    # unchecked, 2.5 and True raised TypeError, 1.5 NumPy's TypeError, and 1.7 was truncated to 1
+    for bad in (2.5, True, np.True_):
+        with pytest.raises(ValueError, match="n must"):
+            generate_random_graph(bad, (1.0, 1.0), 0.4, seed=1)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="seed must"):
+            generate_random_graph(5, (1.0, 1.0), 0.4, seed=bad)
+    with pytest.raises(ValueError, match="seed must"):
+        NetworkGraph([(0.0, 0.0)], 0.4, (1.0, 1.0), seed=1.7)
+    g = generate_random_graph(np.int64(5), (1.0, 1.0), 0.4, seed=np.uint32(9))
+    assert dump_graph(g) == dump_graph(generate_random_graph(5, (1.0, 1.0), 0.4, seed=9))
+    assert type(g.seed) is int
 
 
 def test_far_apart_finite_positions_are_not_linked():
