@@ -11,19 +11,21 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import partial
 
 from .metrics import compute_metrics, replay_schedule
 from .scheduler import (
+    Schedule,
     Variant,
     build_conflict_map,
     run_trasa,
     schedule_length_bounds,
     write_schedule_file,
 )
-from .topology import SINK, NetworkGraph, generate_random_graph
+from .topology import NetworkGraph, _area, _positive_real, generate_random_graph
 from .tree import Disconnected, Infeasible, SpanningTree, _integer, build_spanning_tree, write_tree_file
 
 
@@ -70,6 +72,17 @@ CSV_COLUMNS = [
 _MEAN_COLUMNS = CSV_COLUMNS[8:]
 
 
+@dataclass(frozen=True)
+class RateFile:
+    """Per-node rates from a `<node> <rate>` file (unnamed nodes generate 1); str() is the CSV token `@<path>`."""
+
+    path: str
+    rates: Mapping[int, int]
+
+    def __str__(self) -> str:
+        return f"@{self.path}"
+
+
 @dataclass
 class ExperimentConfig:
     n_values: list[int]
@@ -79,17 +92,18 @@ class ExperimentConfig:
     max_children: int = 3
     heuristic: int = 1
     variant: Variant = Variant.ALL_LINKS
-    gen_rate: int | str = 1  # uniform packets per node, or "@<path>" override file
+    gen_rate: int | RateFile = 1  # uniform packets per node, or per-node rates from a file
     runs: int = 40
     base_seed: int = 1
-    rates_by_node: dict[int, int] | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         if not self.n_values or any(_config_integer(n, "n_values entry") < 1 for n in self.n_values):
             raise ConfigError("n_values must be non-empty positive integers")
-        if not all(math.isfinite(side) and side > 0 for side in self.area):
-            raise ConfigError("area dimensions must be finite and positive")
-        if not (math.isfinite(self.range_r) and self.range_r > 0):
+        try:
+            _area(self.area)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not _positive_real(self.range_r):
             raise ConfigError("range must be finite and positive")
         if _config_integer(self.h, "h") < 1:
             raise ConfigError("h must be >= 1")
@@ -101,24 +115,19 @@ class ExperimentConfig:
             raise ConfigError("variant must be a Variant")
         if _config_integer(self.runs, "runs") < 1:
             raise ConfigError("runs must be >= 1")
-        if isinstance(self.gen_rate, int) and _config_integer(self.gen_rate, "uniform rate") < 1:
+        _config_integer(self.base_seed, "base_seed")
+        if isinstance(self.gen_rate, RateFile):
+            rates, top = self.gen_rate.rates, max(self.n_values)
+            if not isinstance(rates, Mapping):
+                raise ConfigError(f"rate file rates must map node ids to rates, got {rates!r}")
+            for u, rate in rates.items():
+                if _config_integer(rate, f"rate of node {u}") < 0:
+                    raise ConfigError(f"negative rate for node {u}")
+            bad = sorted(u for u in rates if not 0 < _config_integer(u, "rate file node id") < top)
+            if bad:
+                raise ConfigError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
+        elif _config_integer(self.gen_rate, "uniform rate") < 1:
             raise ConfigError("uniform rate must be >= 1")
-        if not isinstance(self.gen_rate, int) and self.rates_by_node is None:
-            raise ConfigError(f"unresolved rate setting {self.gen_rate!r}")
-        for u, rate in (self.rates_by_node or {}).items():
-            _config_integer(u, "rate file node id")
-            if _config_integer(rate, f"rate of node {u}") < 0:
-                raise ConfigError(f"negative rate for node {u}")
-        top = max(self.n_values)
-        bad = sorted(u for u in self.rates_by_node or () if u == SINK or not 0 <= u < top)
-        if bad:
-            raise ConfigError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
-
-    def rate_for_tree(self):
-        return self.gen_rate if self.rates_by_node is None else self.rates_by_node
-
-    def rate_token(self) -> str:
-        return str(self.gen_rate)
 
 
 def derive_seed(base_seed: int, n: int, run_index: int, attempt: int) -> int:
@@ -131,13 +140,12 @@ def sample_instance(
     config: ExperimentConfig, n: int, run_index: int
 ) -> tuple[NetworkGraph, SpanningTree, int]:
     """Draw topologies for one point until one is connected and tree-feasible."""
+    rates = config.gen_rate.rates if isinstance(config.gen_rate, RateFile) else config.gen_rate
     for attempt in range(MAX_ATTEMPTS):
         seed = derive_seed(config.base_seed, n, run_index, attempt)
         graph = generate_random_graph(n, config.area, config.range_r, seed)
         try:
-            tree = build_spanning_tree(
-                graph, config.max_children, gen_rate=config.rate_for_tree()
-            )
+            tree = build_spanning_tree(graph, config.max_children, gen_rate=rates)
         except (Disconnected, Infeasible):
             continue
         return graph, tree, seed
@@ -146,12 +154,16 @@ def sample_instance(
     )
 
 
-def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
+def _schedule_point(config: ExperimentConfig, n: int, run_index: int) -> tuple[SpanningTree, Schedule, int]:
+    """Sample the (n, run_index) instance and schedule it: (tree, schedule, seed)."""
     graph, tree, seed = sample_instance(config, n, run_index)
     conflicts = build_conflict_map(graph, tree, config.variant, config.h)
-    schedule = run_trasa(tree, conflicts, config.heuristic)
-    trace = replay_schedule(schedule, tree)
-    measures = compute_metrics(trace, schedule, tree)
+    return tree, run_trasa(tree, conflicts, config.heuristic), seed
+
+
+def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
+    tree, schedule, seed = _schedule_point(config, n, run_index)
+    measures = compute_metrics(replay_schedule(schedule, tree), schedule, tree)
     lower, upper = schedule_length_bounds(tree)
     return {
         "n": n,
@@ -161,7 +173,7 @@ def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
         "variant": config.variant.value,
         "h": config.h,
         "max_children": config.max_children,
-        "rate": config.rate_token(),
+        "rate": str(config.gen_rate),
         "cycle_length": measures.cycle_length,
         "lower_bound": lower,
         "upper_bound": upper,
@@ -232,7 +244,7 @@ def _parse_nodes(text: str) -> list[int]:
         raise ConfigError(f"bad node list {text!r}") from exc
 
 
-def _parse_rate(text: str) -> tuple[int | str, dict[int, int] | None]:
+def _parse_rate(text: str) -> int | RateFile:
     if text.startswith("@"):
         path = text[1:]
         rates: dict[int, int] = {}
@@ -249,9 +261,9 @@ def _parse_rate(text: str) -> tuple[int | str, dict[int, int] | None]:
             raise ConfigError(f"cannot read rate file {path!r}: {exc}") from exc
         if any(r < 0 for r in rates.values()):
             raise ConfigError("rates must be non-negative")
-        return text, rates
+        return RateFile(path, rates)
     try:
-        return int(text), None
+        return int(text)
     except ValueError as exc:
         raise ConfigError(f"rate must be an integer or @file, got {text!r}") from exc
 
@@ -280,7 +292,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        rate_value, rates_by_node = _parse_rate(args.rate)
         config = ExperimentConfig(
             n_values=_parse_nodes(args.nodes),
             area=_parse_area(args.area),
@@ -289,46 +300,33 @@ def main(argv: list[str] | None = None) -> int:
             max_children=args.max_children,
             heuristic=args.heuristic,
             variant=Variant(args.variant),
-            gen_rate=rate_value,
+            gen_rate=_parse_rate(args.rate),
             runs=args.runs,
             base_seed=args.seed,
-            rates_by_node=rates_by_node,
         )
-        config.validate()
+        table = run_experiment(config)
+        if args.dump_tree or args.dump_schedule:
+            tree, schedule, _ = _schedule_point(config, config.n_values[0], 0)
+            if args.dump_tree:
+                _dump_artifact(partial(write_tree_file, tree), args.dump_tree)
+            if args.dump_schedule:
+                _dump_artifact(partial(write_schedule_file, schedule, tree), args.dump_schedule)
+        emit_csv(table, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        table = run_experiment(config)
-        if args.dump_tree or args.dump_schedule:
-            graph, tree, _ = sample_instance(config, config.n_values[0], 0)
-            if args.dump_tree:
-                _dump_artifact(write_tree_file, tree, args.dump_tree)
-            if args.dump_schedule:
-                conflicts = build_conflict_map(graph, tree, config.variant, config.h)
-                schedule = run_trasa(tree, conflicts, config.heuristic)
-                _dump_artifact(
-                    lambda s, p: write_schedule_file(s, tree, p), schedule, args.dump_schedule
-                )
     except CannotSample as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return 2
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        emit_csv(table, args.out)
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 
-def _dump_artifact(writer, artifact, path) -> None:
+def _dump_artifact(write, path) -> None:
     try:
-        writer(artifact, path)
+        write(path)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

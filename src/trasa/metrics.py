@@ -69,8 +69,10 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
 
     Returns each non-sink node's buffer change points, the sink arrivals
     (origin, slot) and the faults. A fault (slot, node) is a transmission
-    that moves nothing: one by the sink, by a node outside the tree, or
-    from an empty buffer.
+    that moves nothing: one by the sink or from an empty buffer. Both
+    callers stop before the replay when a schedule names a node outside
+    the tree, so the sink is the only transmitter without a queue (and
+    only `validate_schedule` lets it reach the replay).
     """
     parent = tree.parent
     sink = tree.sink
@@ -84,7 +86,7 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
         touched: list[int] = []
         for u in txs:
             queue = queues.get(u)
-            if not queue:  # no queue (sink or stranger) or an empty one
+            if not queue:  # the sink (no queue) or an empty buffer
                 faults.append((slot, u))
                 continue
             moved.append((parent[u], queue.popleft()))

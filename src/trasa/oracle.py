@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, mul
 
-from .scheduler import ConflictMap, Schedule
+from .scheduler import ConflictMap, Schedule, _bits
 from .tree import SpanningTree, subtree_demand
 
 
@@ -56,16 +56,6 @@ class Coloring:
     """Positive integer colors over non-sink nodes; zero-demand nodes may be uncolored."""
 
     colors: dict[int, int] = field(default_factory=dict)
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask as node ids, ascending."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return ids
 
 
 def _maximal_cliques(candidates: int, neighbours: dict[int, int]) -> list[int]:

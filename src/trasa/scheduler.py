@@ -49,8 +49,17 @@ class ConflictMap:
         return u != v and v >= 0 and self.masks.get(u, 0) >> v & 1 == 1
 
     def conflicting(self, u: int) -> frozenset[int]:
-        bits = reversed(bin(self.masks.get(u, 0)))  # lowest bit first
-        return frozenset(v for v, bit in enumerate(bits) if bit == "1")
+        return frozenset(_bits(self.masks.get(u, 0)))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask as node ids, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def build_conflict_map(

@@ -9,6 +9,7 @@ generator so that a (n, area, range, seed) tuple pins the topology exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections import deque
 from collections.abc import Sequence
@@ -32,27 +33,21 @@ class NetworkGraph:
         area: tuple[float, float],
         seed: int = -1,
     ):
-        if not (math.isfinite(range_r) and range_r > 0):
+        if not _positive_real(range_r):
             raise ValueError("range_r must be finite and positive")
-        if not all(math.isfinite(side) and side > 0 for side in area):
-            raise ValueError("area dimensions must be finite and positive")
+        self.area = _area(area)
         if len(positions) < 1:
             raise ValueError("need at least one node")
         self.positions = tuple((float(x), float(y)) for x, y in positions)
         if not all(math.isfinite(c) for xy in self.positions for c in xy):
             raise ValueError("node positions must be finite")
         self.range_r = float(range_r)
-        self.area = (float(area[0]), float(area[1]))
         self.seed = _integer(seed, "seed")
         self._adjacency = _derive_adjacency(self.positions, self.range_r)
 
     @property
     def n(self) -> int:
         return len(self.positions)
-
-    @property
-    def nodes(self) -> list[tuple[int, float, float]]:
-        return [(i, x, y) for i, (x, y) in enumerate(self.positions)]
 
     def neighbors(self, u: int) -> frozenset[int]:
         self._check_node(u)
@@ -86,6 +81,22 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _positive_real(value) -> bool:
+    """True iff value is a finite real number above zero; a bool or a numeric string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value > 0
+
+
+def _area(area) -> tuple[float, float]:
+    """area as (width, height) floats if it is exactly two finite positive numbers, else ValueError."""
+    try:
+        width, height = area
+    except (TypeError, ValueError):
+        raise ValueError(f"area must be two numbers (width, height), got {area!r}") from None
+    if not (_positive_real(width) and _positive_real(height)):
+        raise ValueError("area dimensions must be finite and positive")
+    return float(width), float(height)
+
+
 def _derive_adjacency(
     positions: tuple[tuple[float, float], ...], range_r: float
 ) -> list[frozenset[int]]:
@@ -111,9 +122,10 @@ def generate_random_graph(
     seed = _integer(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
+    width, height = _area(area)
     rng = np.random.default_rng(seed)
     unit = rng.random((n, 2))
-    positions = [(unit[i, 0] * area[0], unit[i, 1] * area[1]) for i in range(n)]
+    positions = [(unit[i, 0] * width, unit[i, 1] * height) for i in range(n)]
     return NetworkGraph(positions, range_r, area, seed=seed)
 
 

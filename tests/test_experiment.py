@@ -12,6 +12,7 @@ from trasa.experiment_cli import (
     CannotSample,
     ConfigError,
     ExperimentConfig,
+    RateFile,
     _parse_rate,
     derive_seed,
     emit_csv,
@@ -19,8 +20,9 @@ from trasa.experiment_cli import (
     run_experiment,
     sample_instance,
 )
-from trasa.scheduler import Variant
+from trasa.scheduler import Variant, build_conflict_map, dump_schedule, run_trasa
 from trasa.topology import is_connected
+from trasa.tree import dump_tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,15 +109,25 @@ def test_config_validation(tmp_path):
             small_config(area=(bad, 1.0)).validate()
         with pytest.raises(ConfigError):
             small_config(area=(1.0, bad)).validate()
+    # unchecked, area (1.0,) raised IndexError while sampling, (1.0, 1.0, 5.0) was cut to
+    # its first two sides, and range "0.4" raised TypeError
+    for bad in ((1.0,), (1.0, 1.0, 5.0), 1.0, ("1", "1")):
+        with pytest.raises(ConfigError, match="area"):
+            small_config(area=bad).validate()
+    for bad in ("0.4", True):
+        with pytest.raises(ConfigError, match="range"):
+            small_config(range_r=bad).validate()
     # rate-file ids must name non-sink nodes of the largest sampled graph
     for node in (0, -1, 8, 999):
         with pytest.raises(ConfigError):
-            small_config(gen_rate="@rates", rates_by_node={1: 2, node: 5}).validate()
-    small_config(gen_rate="@rates", rates_by_node={1: 2, 7: 5}).validate()
+            small_config(gen_rate=RateFile("rates", {1: 2, node: 5})).validate()
+    small_config(gen_rate=RateFile("rates", {1: 2, 7: 5})).validate()
     with pytest.raises(ConfigError, match="negative rate for node 1"):
-        small_config(gen_rate="@rates", rates_by_node={1: -2}).validate()
+        small_config(gen_rate=RateFile("rates", {1: -2})).validate()
     with pytest.raises(ConfigError):
-        small_config(gen_rate="@rates").validate()  # an @file setting with no rates read
+        small_config(gen_rate="@rates").validate()  # a plain @-string is not a rate file
+    with pytest.raises(ConfigError, match="map node ids"):
+        small_config(gen_rate=RateFile("rates", [1, 2])).validate()
     repeated = tmp_path / "repeated.txt"
     repeated.write_text("1 2\n1 3\n")
     with pytest.raises(ConfigError):
@@ -126,17 +138,22 @@ def test_config_counts_must_be_integers():
     # unchecked, runs=1.5 and n_values=[5.5] pass validate() and then raise TypeError
     # in run_experiment, max_children=2.5, h=1.5 and a per-node rate of 1.5 or True
     # surface as the tree's ValueError, heuristic=True fails in emit_csv after the
-    # whole sweep, heuristic=2.0 puts a float in the rows, and a rate-file node id of
-    # 1.5 is ignored while True is read as node 1
-    per_node = [dict(gen_rate="@rates", rates_by_node=rates) for rates in ({1: 1.5}, {1: True}, {1.5: 3}, {True: 4})]
+    # whole sweep, heuristic=2.0 puts a float in the rows, a rate-file node id of 1.5 is
+    # ignored while True is read as node 1, base_seed=1.5 runs another seed stream,
+    # base_seed=True fails in emit_csv and base_seed="7" silently runs as 7
+    per_node = [dict(gen_rate=RateFile("rates", rates)) for rates in ({1: 1.5}, {1: True}, {1.5: 3}, {True: 4})]
     for bad in (
         dict(runs=1.5), dict(n_values=[5.5]), dict(max_children=2.5), dict(h=1.5), dict(runs=True),
         dict(gen_rate=True), dict(heuristic=True), dict(heuristic=2.0), *per_node,
+        dict(base_seed=1.5), dict(base_seed=True), dict(base_seed="7"),
     ):
         with pytest.raises(ConfigError, match="must be an integer"):
             run_experiment(small_config(**bad))
     wide = small_config(n_values=[np.int64(5)], runs=np.int64(2), h=np.int64(2), max_children=np.int64(3))
     assert run_experiment(wide) == run_experiment(small_config(n_values=[5], runs=2, h=2, max_children=3))
+    # a NumPy integer rate was refused as an unresolved rate setting
+    assert run_experiment(small_config(gen_rate=np.int64(2))) == run_experiment(small_config(gen_rate=2))
+    assert run_experiment(small_config(base_seed=np.int64(7))) == run_experiment(small_config())
 
 
 def test_emit_csv_refuses_empty_table(tmp_path):
@@ -177,9 +194,25 @@ def test_cli_writes_csv_and_dumps(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("n,run_index,seed,")
-    # the dumped tree belongs to the first sampled instance
-    assert tree_path.read_text().splitlines()[0].startswith("0 -1 0")
-    assert sched_path.read_text().startswith("schedule ")
+    # the dumps are the first point's tree and schedule, byte for byte
+    tree_text, schedule_text = _first_point_dumps(ExperimentConfig(n_values=[6], range_r=0.6, runs=2, base_seed=5))
+    assert tree_path.read_bytes() == tree_text.encode()
+    assert sched_path.read_bytes() == schedule_text.encode()
+
+
+def _first_point_dumps(config: ExperimentConfig) -> tuple[str, str]:
+    graph, tree, _ = sample_instance(config, config.n_values[0], 0)
+    schedule = run_trasa(tree, build_conflict_map(graph, tree, config.variant, config.h), config.heuristic)
+    return dump_tree(tree), dump_schedule(schedule, tree)
+
+
+def test_cli_dump_tree_alone_is_the_first_point(tmp_path, capsys):
+    tree_path = tmp_path / "first.tree"
+    args = ["--nodes", "5,8", "--range", "0.6", "--runs", "2", "--seed", "7", "--dump-tree", str(tree_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (DATA / "golden_small.csv").read_text()
+    assert tree_path.read_bytes() == _first_point_dumps(small_config())[0].encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.tree"]
 
 
 def test_cli_stdout_default(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trasa.experiment_cli import ConfigError, _parse_rate
+from trasa.experiment_cli import ConfigError, RateFile, _parse_rate
 from trasa.topology import dump_graph, generate_random_graph, is_connected, parse_graph, within_h_hops
 from trasa.tree import Infeasible, build_spanning_tree, subtree_demand
 from trasa.scheduler import (
@@ -279,12 +279,12 @@ def test_parse_schedule_rejects_or_returns_a_valid_schedule(text):
 @settings(max_examples=100, deadline=None)
 def test_parse_rate_rejects_or_returns_valid_rates(text, content):
     value = _parse_or_reject(_parse_rate, text, ConfigError)
-    assert value is None or (type(value[0]) is int and value[1] is None)
+    assert value is None or type(value) is int
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rates.txt"
         path.write_bytes(content)
         for spec in (f"@{path}", f"@{tmp}", f"@{path}.missing"):
             value = _parse_or_reject(_parse_rate, spec, ConfigError)
             if value is not None:
-                assert value[0] == spec
-                assert all(type(u) is int and type(r) is int and r >= 0 for u, r in value[1].items())
+                assert type(value) is RateFile and str(value) == spec
+                assert all(type(u) is int and type(r) is int and r >= 0 for u, r in value.rates.items())

@@ -167,6 +167,24 @@ def test_non_finite_geometry_is_rejected():
             parse_graph(f"graph 1 0.4 1 1 0\n0 {coords}\n")
 
 
+def test_area_is_two_sides_and_range_a_real_number():
+    # unchecked, area (1.0,) raised IndexError in generate_random_graph, (1.0, 1.0, 5.0) was
+    # cut to its first two sides, and a range or side given as a string raised TypeError
+    for area in ((1.0,), (1.0, 1.0, 5.0), 1.0, None, ("1", "1"), (True, 1.0)):
+        with pytest.raises(ValueError, match="area"):
+            NetworkGraph([(0.0, 0.0)], 0.4, area)
+        with pytest.raises(ValueError, match="area"):
+            generate_random_graph(3, area, 0.4, seed=1)
+    for range_r in ("0.4", True, None):
+        with pytest.raises(ValueError, match="range_r"):
+            NetworkGraph([(0.0, 0.0)], range_r, (1.0, 1.0))
+        with pytest.raises(ValueError, match="range_r"):
+            generate_random_graph(3, (1.0, 1.0), range_r, seed=1)
+    g = generate_random_graph(6, [np.float64(1.0), 2], np.float64(0.4), seed=3)
+    assert g.area == (1.0, 2.0) and type(g.area[0]) is float
+    assert dump_graph(g) == dump_graph(generate_random_graph(6, (1.0, 2.0), 0.4, seed=3))
+
+
 def test_node_count_and_seed_must_be_integers():
     # unchecked, 2.5 and True raised TypeError, 1.5 NumPy's TypeError, and 1.7 was truncated to 1
     for bad in (2.5, True, np.True_):
