@@ -3,12 +3,14 @@
 The replay tracks individual packets (tagged with their origin) through
 per-node FIFO queues: a node's own packets are queued at cycle start, ahead
 of anything it later receives, and each occupied slot forwards exactly one
-packet to the parent. Only the occupied slots are visited, so a replay costs
-O(transmissions + n), not O(slots × n). A buffer level is recorded as a
-(slot, level) change point when a node's level after a slot resolves differs
-from its last one; `SimTrace.buffer_series` expands the change points into
-per-slot levels only when it is read. The same pass serves
-`scheduler.validate_schedule`, which turns its faults into violations.
+packet to the parent. Only the occupied slots are visited, run by run of
+`Schedule.runs()`, so a replay costs O(transmissions + n), not
+O(slots × n). A buffer level is recorded as a (slot, level) change point
+when a node's level after a slot resolves differs from its last one;
+`SimTrace.buffer_series` expands the change points into per-slot levels only
+when it is read. `scheduler.validate_schedule` needs no packet identities:
+it checks causality and delivery with its own count-level walk over the
+runs, whose faults and delivery count equal this replay's.
 """
 
 from __future__ import annotations
@@ -69,10 +71,10 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
 
     Returns each non-sink node's buffer change points, the sink arrivals
     (origin, slot) and the faults. A fault (slot, node) is a transmission
-    that moves nothing: one by the sink or from an empty buffer. Both
-    callers stop before the replay when a schedule names a node outside
-    the tree, so the sink is the only transmitter without a queue (and
-    only `validate_schedule` lets it reach the replay).
+    that moves nothing: one from an empty buffer. The one caller,
+    `replay_schedule`, rejects a schedule in which the sink or a node
+    outside the tree transmits before the replay, so every transmitter has
+    a queue.
     """
     parent = tree.parent
     sink = tree.sink
@@ -81,29 +83,30 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
     arrivals: list[tuple[int, int]] = []
     faults: list[tuple[int, int]] = []
 
-    for slot, txs in schedule.slots():
-        moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
-        touched: list[int] = []
-        for u in txs:
-            queue = queues.get(u)
-            if not queue:  # the sink (no queue) or an empty buffer
-                faults.append((slot, u))
-                continue
-            moved.append((parent[u], queue.popleft()))
-            touched.append(u)
-        for receiver, packet in moved:
-            if receiver == sink:
-                arrivals.append((packet, slot))
-            else:
-                queues[receiver].append(packet)
-                touched.append(receiver)
-        for u in touched:  # levels once the slot has resolved
-            points = changes[u]
-            level = len(queues[u])
-            if points[-1][0] == slot:  # the cycle-start point, or u seen twice
-                points[-1] = (slot, level)
-            elif points[-1][1] != level:
-                points.append((slot, level))
+    for start, stop, txs in schedule.runs():
+        for slot in range(start, stop):
+            moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
+            touched: list[int] = []
+            for u in txs:
+                queue = queues.get(u)
+                if not queue:  # an empty buffer
+                    faults.append((slot, u))
+                    continue
+                moved.append((parent[u], queue.popleft()))
+                touched.append(u)
+            for receiver, packet in moved:
+                if receiver == sink:
+                    arrivals.append((packet, slot))
+                else:
+                    queues[receiver].append(packet)
+                    touched.append(receiver)
+            for u in touched:  # levels once the slot has resolved
+                points = changes[u]
+                level = len(queues[u])
+                if points[-1][0] == slot:  # the cycle-start point, or u seen twice
+                    points[-1] = (slot, level)
+                elif points[-1][1] != level:
+                    points.append((slot, level))
 
     return changes, arrivals, faults
 

@@ -19,7 +19,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .metrics import _replay
 from .topology import NetworkGraph
 from .tree import SpanningTree, _integer, subtree_demand
 
@@ -124,12 +123,13 @@ class Schedule:
             if ivs:
                 self.allocations[u] = ivs
 
-    def slots(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (slot, transmitters sorted by node id) for each occupied slot, in slot order.
+    def runs(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """Yield (start, stop, transmitters sorted by node id) per occupied run, in slot order.
 
-        Sweeps the intervals' start and stop events, dropping finished nodes
-        before adding new ones, so memory grows with the number of intervals,
-        not with the cycle length.
+        A run is the span of slots between two consecutive interval start or
+        stop points, so its transmitter set is constant. The sweep drops
+        finished nodes before adding new ones, so memory grows with the
+        number of intervals, not with the cycle length.
         """
         starts: dict[int, list[int]] = {}
         stops: dict[int, list[int]] = {}
@@ -143,9 +143,12 @@ class Schedule:
             active.difference_update(stops.get(point, ()))
             active.update(starts.get(point, ()))
             if active:
-                txs = tuple(sorted(active))
-                for slot in range(point, next_point):
-                    yield slot, txs
+                yield point, next_point, tuple(sorted(active))
+
+    def slots(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Yield (slot, transmitters sorted by node id) for each occupied slot, in slot order."""
+        for start, stop, txs in self.runs():
+            yield from ((slot, txs) for slot in range(start, stop))
 
     def total_width(self, u: int) -> int:
         return sum(w for _, w in self.allocations.get(u, []))
@@ -294,11 +297,21 @@ def validate_schedule(
     """Check a schedule for interference, causality and delivery violations.
 
     Violations are data, not exceptions: an empty report certifies the
-    schedule. A slot's transmitters are tested pairwise only when the OR of
-    their conflict masks hits one of them. Causality and delivery come from
-    the packet replay of `metrics`, where every transmitter forwards one
-    buffered packet per occupied slot. A schedule naming nodes outside the
-    tree gets one causality violation per such node and no replay.
+    schedule. The check works once per run of `Schedule.runs()`, a span of
+    slots with one transmitter set. A run's transmitters are tested
+    pairwise only when the OR of their conflict masks hits one of them, and
+    each conflicting pair is reported in every slot of the run.
+
+    Causality and delivery come from a count-level walk: `held[u]` counts
+    the packets of each non-sink node. In a run of L slots a transmitter
+    sends k = min(L, held[u]) packets, one per slot, gets one causality
+    violation for each slot after it runs dry, and its parent gains the k
+    packets once every transmitter has sent; the sink holds nothing, so it
+    gets one violation per slot. Where a node and its parent both transmit
+    in a longer run, the walk takes that run one slot at a time. Faults are
+    reported by (slot, node), and the sink's children deliver what they
+    send. A schedule naming nodes outside the tree gets one causality
+    violation per such node and no walk.
     """
     report = ValidationReport()
     strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
@@ -309,33 +322,55 @@ def validate_schedule(
         )
 
     masks = conflicts.masks
-    for slot, txs in schedule.slots():
+    parent = tree.parent
+    sink = tree.sink
+    held = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
+    faults: list[tuple[int, int]] = []  # (slot, node): a transmission that moves nothing
+    delivered = 0
+    for start, stop, txs in schedule.runs():
         present = blocked = 0
         for u in txs:
             if u in masks:  # mask keys are node ids >= 0; others never conflict
                 present |= 1 << u
                 blocked |= masks[u]
-        if not blocked & present:
-            continue
-        for i, u in enumerate(txs):
-            for v in txs[i + 1 :]:
-                if conflicts.conflicts(u, v):
+        if blocked & present:
+            pairs = [(u, v) for i, u in enumerate(txs) for v in txs[i + 1 :] if conflicts.conflicts(u, v)]
+            for slot in range(start, stop):
+                for u, v in pairs:
                     report.violations.append(
                         Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}")
                     )
+        if strangers:
+            continue  # a stranger has no parent, so the walk cannot route it
+
+        spans = ((start, stop),)
+        if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
+            spans = ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
+        for a, b in spans:
+            sent = []
+            for u in txs:
+                k = min(b - a, held.get(u, 0))
+                faults.extend((slot, u) for slot in range(a + k, b))
+                if k:
+                    held[u] -= k
+                    sent.append((parent[u], k))
+            for p, k in sent:  # receives after every send of the span
+                if p == sink:
+                    delivered += k
+                else:
+                    held[p] += k
 
     if strangers:
-        return report  # a stranger has no parent, so the replay cannot route it
-    _, arrivals, faults = _replay(schedule, tree)
+        return report
+    faults.sort()
     for slot, u in faults:
-        if u == tree.sink:
+        if u == sink:
             detail = "the sink must never transmit"
         else:
             # nothing to forward: flag it and let the delivery count expose the gap
             detail = f"node {u} transmits with an empty buffer in slot {slot}"
         report.violations.append(Violation(CAUSALITY, slot, (u,), detail))
 
-    delivered = len(arrivals)
     expected = tree.total_generated()
     if delivered != expected:
         report.violations.append(

@@ -126,19 +126,29 @@ def _per_slot(schedule):
     return {slot: tuple(sorted(per_slot[slot])) for slot in sorted(per_slot)}
 
 
+_SLOT_CASES = [
+    (Schedule(3, {1: [(0, 2), (2, 1)]}), [(0, (1,)), (1, (1,)), (2, (1,))]),  # touching intervals
+    (
+        Schedule(7, {3: [(0, 2), (5, 1)], 1: [(1, 3)], 2: [(1, 1), (6, 1)]}),  # interleaved nodes
+        [(0, (3,)), (1, (1, 2, 3)), (2, (1,)), (3, (1,)), (5, (3,)), (6, (2,))],
+    ),
+    (Schedule(4, {}), []),  # nothing occupied
+    (Schedule(0, {}), []),  # length 0
+]
+
+
 def test_slots_match_per_slot_inversion():
-    cases = [
-        (Schedule(3, {1: [(0, 2), (2, 1)]}), [(0, (1,)), (1, (1,)), (2, (1,))]),  # touching intervals
-        (
-            Schedule(7, {3: [(0, 2), (5, 1)], 1: [(1, 3)], 2: [(1, 1), (6, 1)]}),  # interleaved nodes
-            [(0, (3,)), (1, (1, 2, 3)), (2, (1,)), (3, (1,)), (5, (3,)), (6, (2,))],
-        ),
-        (Schedule(4, {}), []),  # nothing occupied
-        (Schedule(0, {}), []),  # length 0
-    ]
-    for schedule, expected in cases:
+    for schedule, expected in _SLOT_CASES:
         assert list(schedule.slots()) == expected
         assert list(schedule.slots()) == list(_per_slot(schedule).items())
+
+
+def test_runs_expand_to_slots():
+    assert list(Schedule(200_000, {1: [(0, 200_000)]}).runs()) == [(0, 200_000, (1,))]
+    for schedule, _ in _SLOT_CASES:
+        runs = list(schedule.runs())
+        assert [(s, t) for a, b, t in runs for s in range(a, b)] == list(schedule.slots())
+        assert all(a < b for a, b, _ in runs)
 
 
 def _reference_replay(schedule, tree):
@@ -270,31 +280,107 @@ def _broken_schedules(rng, schedule, graph, tree, conflicts):
     return schedules
 
 
+def _check_against_references(schedule, conflicts, tree):
+    """Validation, replay and metrics of one schedule against the dense references; returns the violations."""
+    violations = validate_schedule(schedule, conflicts, tree).violations
+    assert violations == _reference_validate(schedule, conflicts, tree)
+    try:
+        expected = _reference_replay(schedule, tree)
+    except CausalityBreach as exc:
+        with pytest.raises(CausalityBreach) as caught:
+            replay_schedule(schedule, tree)
+        assert str(caught.value) == str(exc)
+        return violations
+    trace = replay_schedule(schedule, tree)
+    assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected
+    assert compute_metrics(trace, schedule, tree) == _reference_metrics(expected, schedule, tree)
+    return violations
+
+
 def test_event_replay_and_validation_match_dense_reference():
     rng = random.Random(5005)
     cases = list(itertools.product(Variant, (1, 2, 3), (1, 2, 3, 4, "mixed"))) * 7
-    checked = broken = 0
+    broken = 0
     for variant, h, rate in cases:
         g, t = random_tree(rng, (2, 40), rate)
         cm = build_conflict_map(g, t, variant, h)
         good = run_trasa(t, cm, rng.choice((1, 2)))
         for s in [good] + _broken_schedules(rng, good, g, t, cm):
-            checked += 1
             assert list(s.slots()) == list(_per_slot(s).items())
-            violations = validate_schedule(s, cm, t).violations
-            assert violations == _reference_validate(s, cm, t)
-            broken += bool(violations)
-            try:
-                expected = _reference_replay(s, t)
-            except CausalityBreach as exc:
-                with pytest.raises(CausalityBreach) as caught:
-                    replay_schedule(s, t)
-                assert str(caught.value) == str(exc)
-                continue
-            trace = replay_schedule(s, t)
-            assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected
-            assert compute_metrics(trace, s, t) == _reference_metrics(expected, s, t)
+            broken += bool(_check_against_references(s, cm, t))
     assert len(cases) >= 200 and broken > len(cases) * 3
+
+
+def _wide_schedules(rng, tree):
+    """Foreign schedules with wide, overlapping intervals, so runs span many slots.
+
+    First the named cases, where the tree has them: a parent and its child
+    sending across one long run, two children of one receiver sharing a
+    run, the sink inside a long run and a node that runs dry partway
+    through a run; then random schedules with one or two intervals per
+    chosen node, the sink among them in about one in four.
+    """
+    nodes = tree.non_sink_nodes()
+    rate = tree.gen_rate
+    length = rng.randint(3, 24)
+    cases = []
+    inner = [u for u in nodes if tree.parent[u] != tree.sink]
+    if inner:
+        c = rng.choice(inner)
+        p = tree.parent[c]
+        cases.append({c: [(0, length)], p: [(rng.randrange(2), length - 2)]})  # parent and child
+    pairs = [kids for kids in tree.children.values() if len(kids) >= 2]
+    if pairs:
+        a, b = rng.sample(rng.choice(pairs), 2)
+        cases.append({a: [(1, length - 1)], b: [(0, length - 2)]})  # siblings share one receiver
+    for c in tree.children.get(tree.sink, [])[:1]:
+        cases.append({tree.sink: [(0, length)], c: [(1, length - 1)]})  # the sink in a long run
+    held = [u for u in nodes if 0 < rate[u] <= length - 3]
+    if held:
+        u = rng.choice(held)
+        cases.append({u: [(1, rate[u] + 2)]})  # runs dry two slots before the run ends
+    for _ in range(6):
+        chosen = rng.sample(nodes, rng.randint(1, len(nodes)))
+        if rng.random() < 0.25:
+            chosen.append(tree.sink)
+        allocations = {}
+        for u in chosen:
+            cuts = sorted(rng.sample(range(length + 1), 2 * rng.randint(1, 2)))
+            allocations[u] = [(start, stop - start) for start, stop in zip(cuts[::2], cuts[1::2])]
+        cases.append(allocations)
+    return [Schedule(length, allocations) for allocations in cases]
+
+
+def test_run_walk_matches_dense_reference_on_wide_schedules():
+    rng = random.Random(1515)
+    cases = list(itertools.product(Variant, (1, 2), (1, 2, "mixed"))) * 8
+    seen = dict.fromkeys(("parent and child", "shared receiver", "sink", "runs dry", "conflict"), 0)
+    for variant, h, rate in cases:
+        g, t = random_tree(rng, (3, 30), rate)
+        cm = build_conflict_map(g, t, variant, h)
+        for s in _wide_schedules(rng, t):
+            violations = _check_against_references(s, cm, t)
+            for start, stop, txs in s.runs():
+                receivers = [t.parent.get(u) for u in txs]
+                seen["parent and child"] += stop - start > 1 and any(p in txs for p in receivers)
+                seen["shared receiver"] += len(set(receivers)) < len(receivers)
+                seen["sink"] += stop - start > 1 and t.sink in txs
+                seen["conflict"] += stop - start > 1 and any(cm.conflicts(u, v) for u in txs for v in txs)
+            seen["runs dry"] += any(v.kind == CAUSALITY and v.nodes[0] != t.sink for v in violations)
+    assert min(seen.values()) >= len(cases), seen
+
+
+def test_validation_does_not_walk_slots(monkeypatch):
+    g = chain_graph(2)
+    t = build_spanning_tree(g, max_children=1, gen_rate={0: 0, 1: 10**6})
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+    s = Schedule(10**6, {1: [(0, 10**6)]})
+
+    def refuse(self):
+        raise AssertionError("validation walked the slots")
+
+    monkeypatch.setattr(Schedule, "slots", refuse)
+    assert validate_schedule(s, cm, t).violations == []
 
 
 def test_every_violation_kind_is_reported_in_order(chain_run):
