@@ -12,10 +12,9 @@ from trasa import (
     ExperimentConfig,
     Variant,
     build_conflict_map,
-    compute_metrics,
-    replay_schedule,
     run_trasa,
     sample_instance,
+    schedule_metrics,
 )
 
 n, runs = 40, 20
@@ -26,8 +25,7 @@ for run in range(runs):
     conflicts = build_conflict_map(graph, tree, Variant.ALL_LINKS, h=2)
     for heuristic in (1, 2):
         schedule = run_trasa(tree, conflicts, heuristic)
-        trace = replay_schedule(schedule, tree)
-        results[heuristic].append(compute_metrics(trace, schedule, tree))
+        results[heuristic].append(schedule_metrics(schedule, tree))
 
 print(f"{runs} paired runs at n={n}:")
 print(f"{'measure':>14} {'heavy-first':>12} {'leaves-first':>13}")

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
-from .metrics import compute_metrics, replay_schedule
+from .metrics import schedule_metrics
 from .scheduler import (
     Schedule,
     Variant,
@@ -163,7 +163,7 @@ def _schedule_point(config: ExperimentConfig, n: int, run_index: int) -> tuple[S
 
 def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
     tree, schedule, seed = _schedule_point(config, n, run_index)
-    measures = compute_metrics(replay_schedule(schedule, tree), schedule, tree)
+    measures = schedule_metrics(schedule, tree)
     lower, upper = schedule_length_bounds(tree)
     return {
         "n": n,

@@ -1,16 +1,28 @@
-"""Event-driven replay of a schedule and the derived evaluation measures.
+"""Schedule metrics from per-node packet counts, and an event-driven packet replay.
 
-The replay tracks individual packets (tagged with their origin) through
-per-node FIFO queues: a node's own packets are queued at cycle start, ahead
-of anything it later receives, and each occupied slot forwards exactly one
-packet to the parent. Only the occupied slots are visited, run by run of
-`Schedule.runs()`, so a replay costs O(transmissions + n), not
-O(slots × n). A buffer level is recorded as a (slot, level) change point
-when a node's level after a slot resolves differs from its last one;
-`SimTrace.buffer_series` expands the change points into per-slot levels only
-when it is read. `scheduler.validate_schedule` needs no packet identities:
-it checks causality and delivery with its own count-level walk over the
-runs, whose faults and delivery count equal this replay's.
+The metrics need no packet identities. Their kernel, `_node_counts`, visits
+each tree node once: it merges the node's own intervals with its children's
+into sorted events and sweeps the segments between consecutive event slots.
+Within a segment the node's buffer changes by a constant per slot, its
+children's sends minus its own, and a node sends before it receives in the
+same slot. So each segment yields the node's awake runs, its highest level
+(at the segment's first or last slot) and whether it sends from an empty
+buffer; delivery and the delay sum come from the sink's children's
+intervals. The kernel costs O(n + intervals · log intervals) and never
+visits a slot.
+
+`replay_schedule` additionally tracks individual packets, tagged with
+their origin, through per-node FIFO queues: a node's own packets are
+queued at cycle start, ahead of anything it later receives, and each
+occupied slot forwards one packet to the parent. Only the occupied slots
+are visited, run by run of `Schedule.runs()`, so it costs
+O(transmissions + n), not O(slots × n). A buffer level is recorded as a
+(slot, level) change point when a node's level after a slot resolves
+differs from its last one; `SimTrace.buffer_series` expands the change
+points into per-slot levels only when it is read. The packet walk serves
+only packet origins and change points: causality and awake counts come
+from the kernel. `scheduler.validate_schedule` keeps its own count-level
+walk over the runs, because it reports every fault, not only the first.
 """
 
 from __future__ import annotations
@@ -66,34 +78,94 @@ class Metrics:
     total_switches: int
 
 
-def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
-    """Replay one cycle over its occupied slots.
+def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int]:
+    """Each node's awake-interval count and the highest non-sink buffer level.
 
-    Returns each non-sink node's buffer change points, the sink arrivals
-    (origin, slot) and the faults. A fault (slot, node) is a transmission
-    that moves nothing: one from an empty buffer. The one caller,
-    `replay_schedule`, rejects a schedule in which the sink or a node
-    outside the tree transmits before the replay, so every transmitter has
-    a queue.
+    One sweep per tree node over the events of its own and its children's
+    intervals. A segment between two event slots sends `sends` (0 or 1)
+    and receives `receives` packets per slot, so the level after its k-th
+    slot is the level before it plus k·(receives − sends), and its highest
+    level is after its first or its last slot: the start level counts only
+    where a node neither sends nor receives in slot 0. A run of segments
+    with activity is one awake interval, touching intervals included.
+
+    Raises CausalityBreach where the sink or a node outside the tree
+    transmits, or for the first (slot, node) that sends from an empty
+    buffer. Each node's levels assume its children never run dry, which
+    holds up to the first fault of the whole schedule; so the smallest
+    per-node first fault is the replay's first fault.
+    """
+    allocations = schedule.allocations
+    strangers = [u for u in sorted(allocations) if u == tree.sink or u not in tree.depth]
+    if strangers:
+        raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
+    children = tree.children
+    rate = tree.gen_rate
+    sink = tree.sink
+    length = schedule.length
+    awake: dict[int, int] = {}
+    peak = 0
+    fault = None  # the first (slot, node) that sends from an empty buffer
+    for u in tree.nodes():
+        events = [(length, 0, 0)]  # (slot, change in sends, change in receives); closes the last segment
+        for start, width in allocations.get(u, ()):
+            events += ((start, 1, 0), (start + width, -1, 0))
+        for v in children.get(u, ()):
+            for start, width in allocations.get(v, ()):
+                events += ((start, 0, 1), (start + width, 0, -1))
+        events.sort()
+        level = rate.get(u, 0)
+        top = sends = receives = runs = prev = 0
+        active = dry = False
+        for slot, ds, dr in events:
+            if slot != prev:  # the segment [prev, slot) at the current rates
+                if sends or receives:
+                    if not active:
+                        runs += 1
+                        active = True
+                    d = receives - sends
+                    if sends and not dry and (not level or d < 0 and level < slot - prev):
+                        dry = True  # empty after `level` sends; later levels are not exact
+                        if fault is None or (prev + level, u) < fault:
+                            fault = (prev + level, u)
+                    if level + d > top:
+                        top = level + d
+                    level += (slot - prev) * d
+                else:
+                    active = False
+                if level > top:
+                    top = level
+                prev = slot
+            sends += ds
+            receives += dr
+        awake[u] = runs
+        if u != sink and top > peak:
+            peak = top
+    if fault:
+        slot, u = fault
+        raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
+    return awake, peak
+
+
+def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
+    """Replay one cycle's packets over its occupied slots.
+
+    Returns each non-sink node's buffer change points and the sink arrivals
+    (origin, slot). The one caller, `replay_schedule`, has `_node_counts`
+    reject a schedule in which the sink or a node outside the tree
+    transmits, or a node sends from an empty buffer, so every send pops a
+    packet.
     """
     parent = tree.parent
     sink = tree.sink
     queues = {u: deque([u] * tree.gen_rate[u]) for u in tree.non_sink_nodes()}
     changes = {u: [(0, len(queue))] for u, queue in queues.items()}
     arrivals: list[tuple[int, int]] = []
-    faults: list[tuple[int, int]] = []
 
     for start, stop, txs in schedule.runs():
         for slot in range(start, stop):
-            moved: list[tuple[int, int]] = []  # (receiver, packet origin), in tx id order
-            touched: list[int] = []
-            for u in txs:
-                queue = queues.get(u)
-                if not queue:  # an empty buffer
-                    faults.append((slot, u))
-                    continue
-                moved.append((parent[u], queue.popleft()))
-                touched.append(u)
+            moved = [(parent[u], queues[u].popleft()) for u in txs]  # (receiver, packet origin)
+            touched = list(txs)
             for receiver, packet in moved:
                 if receiver == sink:
                     arrivals.append((packet, slot))
@@ -108,23 +180,7 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list, list]:
                 elif points[-1][1] != level:
                     points.append((slot, level))
 
-    return changes, arrivals, faults
-
-
-def _awake_intervals(schedule: Schedule, tree: SpanningTree) -> dict[int, int]:
-    """Runs of consecutive slots in which each node or one of its children transmits."""
-    counts = {}
-    for u in tree.nodes():
-        spans = sorted(
-            iv for v in [u, *tree.children.get(u, [])] for iv in schedule.allocations.get(v, [])
-        )
-        runs, end = 0, -1
-        for start, width in spans:
-            if start > end:
-                runs += 1
-            end = max(end, start + width)
-        counts[u] = runs
-    return counts
+    return changes, arrivals
 
 
 def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
@@ -135,37 +191,43 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     or let the sink or a node outside the tree transmit; schedules produced
     by the greedy scheduler never do.
     """
-    strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
-    if strangers:
-        raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    changes, arrivals, faults = _replay(schedule, tree)
-    if faults:
-        slot, u = faults[0]
-        raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
-    return SimTrace(changes, arrivals, _awake_intervals(schedule, tree), schedule.length)
+    awake, _ = _node_counts(schedule, tree)
+    changes, arrivals = _replay(schedule, tree)
+    return SimTrace(changes, arrivals, awake, schedule.length)
 
 
-def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
-    """Aggregate a replay into the cycle-level evaluation measures.
+def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
+    """The cycle-level evaluation measures of a schedule, from packet counts alone.
 
     slot_reuse is the schedule's packet-transmissions (the sum of its
     interval widths) per slot; avg_delay counts slots from cycle start,
-    1-based (a packet arriving in the first slot has delay 1). max_buffer is
-    the highest level after any slot: every change point holds for at least
-    one slot of a non-empty cycle. `tree` is not read; it stays in the
-    signature for existing callers.
+    1-based (a packet arriving in the first slot has delay 1), so a sink
+    child sending w packets from slot s adds w·s + w(w+1)/2 to the delay
+    sum. max_buffer is the highest non-sink level after any slot of the
+    cycle, and total_switches sums every node's awake intervals. Raises
+    CausalityBreach where `replay_schedule` does, with the same message.
     """
+    awake, max_buffer = _node_counts(schedule, tree)
+    delivered = delay_sum = 0
+    for v in tree.children.get(tree.sink, ()):
+        for start, width in schedule.allocations.get(v, ()):
+            delivered += width
+            delay_sum += width * start + width * (width + 1) // 2
     length = schedule.length
     total_tx = sum(width for intervals in schedule.allocations.values() for _, width in intervals)
-    slot_reuse = total_tx / length if length else 0.0
-    delays = [slot + 1 for _, slot in trace.packet_arrivals]
-    avg_delay = sum(delays) / len(delays) if delays else 0.0
-    levels = (lvl for points in trace.buffer_changes.values() for _, lvl in points)
-    max_buffer = max(levels, default=0) if trace.length else 0
     return Metrics(
         cycle_length=length,
-        slot_reuse=slot_reuse,
-        avg_delay=avg_delay,
+        slot_reuse=total_tx / length if length else 0.0,
+        avg_delay=delay_sum / delivered if delivered else 0.0,
         max_buffer=max_buffer,
-        total_switches=sum(trace.awake_intervals.values()),
+        total_switches=sum(awake.values()),
     )
+
+
+def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
+    """`schedule_metrics(schedule, tree)`; `trace` is not read.
+
+    `trace` stays in the signature for existing callers of the form
+    `compute_metrics(replay_schedule(schedule, tree), schedule, tree)`.
+    """
+    return schedule_metrics(schedule, tree)

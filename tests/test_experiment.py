@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trasa import metrics
 from trasa.experiment_cli import (
     CSV_COLUMNS,
     CannotSample,
@@ -80,6 +81,31 @@ def test_csv_matches_golden_file(tmp_path):
     out = tmp_path / "sweep.csv"
     emit_csv(table, out)
     assert out.read_bytes() == (DATA / "golden_small.csv").read_bytes()
+
+
+def test_cli_tree_rate3_matches_golden_file(capsys):
+    # TREE_ONLY rate 3 at h=1: runs many slots wide, buffers of 12-36 packets
+    args = ["--nodes", "10,30", "--variant", "tree", "--h", "1", "--rate", "3", "--runs", "5", "--seed", "7"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (DATA / "golden_tree_rate3.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "config, golden",
+    [
+        (small_config(), "golden_small.csv"),
+        (small_config(n_values=[10, 30], range_r=0.4, variant=Variant.TREE_ONLY, h=1, gen_rate=3, runs=5),
+         "golden_tree_rate3.csv"),
+    ],
+)
+def test_csv_path_builds_no_packets(monkeypatch, tmp_path, config, golden):
+    def refuse(*_args):
+        raise AssertionError("the CSV path replayed packets")
+
+    monkeypatch.setattr(metrics, "_replay", refuse)
+    out = tmp_path / "sweep.csv"
+    emit_csv(run_experiment(config), out)
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_csv_line_count_for_forty_runs(tmp_path):

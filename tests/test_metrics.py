@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from trasa.experiment_cli import ExperimentConfig, sample_instance
-from trasa.tree import build_spanning_tree
+from trasa.tree import build_spanning_tree, subtree_demand
 from trasa.scheduler import (
     CAUSALITY,
     CONFLICT,
@@ -16,7 +17,7 @@ from trasa.scheduler import (
     run_trasa,
     validate_schedule,
 )
-from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule
+from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule, schedule_metrics
 
 from conftest import chain_graph, random_tree, star_graph
 
@@ -287,13 +288,16 @@ def _check_against_references(schedule, conflicts, tree):
     try:
         expected = _reference_replay(schedule, tree)
     except CausalityBreach as exc:
-        with pytest.raises(CausalityBreach) as caught:
-            replay_schedule(schedule, tree)
-        assert str(caught.value) == str(exc)
+        for entry in (replay_schedule, schedule_metrics):
+            with pytest.raises(CausalityBreach) as caught:
+                entry(schedule, tree)
+            assert str(caught.value) == str(exc)
         return violations
     trace = replay_schedule(schedule, tree)
     assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected
-    assert compute_metrics(trace, schedule, tree) == _reference_metrics(expected, schedule, tree)
+    measures = _reference_metrics(expected, schedule, tree)
+    assert schedule_metrics(schedule, tree) == measures
+    assert compute_metrics(trace, schedule, tree) == measures
     return violations
 
 
@@ -368,6 +372,106 @@ def test_run_walk_matches_dense_reference_on_wide_schedules():
                 seen["conflict"] += stop - start > 1 and any(cm.conflicts(u, v) for u in txs for v in txs)
             seen["runs dry"] += any(v.kind == CAUSALITY and v.nodes[0] != t.sink for v in violations)
     assert min(seen.values()) >= len(cases), seen
+
+
+def _causal_schedule(rng, tree, pause):
+    """A causal schedule in which each node sends its subtree demand, its children first.
+
+    A node may send in any slot, from slot 0 on, in which it holds a packet
+    before the slot's receives, and skips such a slot with probability
+    `pause`. So leaves share their first slots, and a node with packets of
+    its own forwards while its children send. A run of sends is cut into
+    two touching intervals half of the time.
+    """
+    received = {u: Counter() for u in tree.nodes()}  # slot -> packets arriving
+    allocations = {}
+    for u in sorted(tree.non_sink_nodes(), key=tree.depth.__getitem__, reverse=True):
+        held, left, slot, sends = tree.gen_rate[u], subtree_demand(tree, u), 0, []
+        while left:
+            if held and rng.random() >= pause:
+                held, left = held - 1, left - 1
+                sends.append(slot)
+                received[tree.parent[u]][slot] += 1
+            held += received[u][slot]
+            slot += 1
+        runs = []
+        for slot in sends:
+            if runs and sum(runs[-1]) == slot:
+                runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+            else:
+                runs.append((slot, 1))
+        intervals = []
+        for start, width in runs:
+            if width > 1 and rng.random() < 0.5:
+                cut = rng.randint(1, width - 1)
+                intervals += [(start, cut), (start + cut, width - cut)]
+            else:
+                intervals.append((start, width))
+        if intervals:
+            allocations[u] = intervals
+    length = max((sum(ivs[-1]) for ivs in allocations.values()), default=0) + rng.randint(0, 2)
+    return Schedule(length, allocations)
+
+
+def test_count_kernel_matches_dense_reference_on_causal_wide_schedules():
+    rng = random.Random(1616)
+    cases = [(Variant.TREE_ONLY, 1)] * 24 + list(itertools.product(Variant, (1, 2))) * 6
+    seen = dict.fromkeys(("siblings share slots", "forward while a child sends", "touching", "starved parent"), 0)
+    for variant, h in cases:
+        g, t = random_tree(rng, (3, 30), rng.choice((1, 2, 3, "mixed")))
+        cm = build_conflict_map(g, t, variant, h)
+        s = _causal_schedule(rng, t, rng.choice((0.0, 0.2, 0.5)))
+        violations = _check_against_references(s, cm, t)
+        assert not [v for v in violations if v.kind != CONFLICT]
+        for start, stop, txs in s.runs():
+            receivers = [t.parent[u] for u in txs]
+            seen["siblings share slots"] += len(set(receivers)) < len(receivers)
+            seen["forward while a child sends"] += stop - start > 1 and any(p in txs for p in receivers)
+        seen["touching"] += any(sum(a) == b[0] for ivs in s.allocations.values() for a, b in zip(ivs, ivs[1:]))
+        # a grandchild that never sends leaves its parent short, which later starves the grandparent
+        lost = [u for u in s.allocations if t.parent[u] != t.sink and t.parent[t.parent[u]] != t.sink]
+        if lost:
+            u = rng.choice(sorted(lost))
+            starved = Schedule(s.length, {v: ivs for v, ivs in s.allocations.items() if v != u})
+            _check_against_references(starved, cm, t)
+            with pytest.raises(CausalityBreach, match=f"^node {t.parent[u]} has no packet"):
+                schedule_metrics(starved, t)
+            seen["starved parent"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _rates_star(rates):
+    """The sink 0 with one leaf per rate, leaf i + 1 generating rates[i] packets: (graph, tree)."""
+    g = star_graph(len(rates) + 1)
+    return g, build_spanning_tree(g, max_children=len(rates), gen_rate={i + 1: r for i, r in enumerate(rates)})
+
+
+def test_max_buffer_counts_the_start_level_only_of_nodes_idle_in_slot_0():
+    g, t = _rates_star([9, 1])
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 1), 1)
+    assert s.allocations == {1: [(0, 9)], 2: [(0, 1)]}  # both send in slot 0
+    assert schedule_metrics(s, t).max_buffer == 8
+    later = Schedule(10, {1: [(1, 9)], 2: [(0, 1)]})  # node 1 holds its 9 packets through slot 0
+    assert schedule_metrics(later, t).max_buffer == 9
+    for schedule in (s, later):
+        expected = _reference_metrics(_reference_replay(schedule, t), schedule, t)
+        assert schedule_metrics(schedule, t) == expected
+
+
+def test_max_buffer_of_schedules_without_sends():
+    _, t = _rates_star([2, 5, 3])
+    assert schedule_metrics(Schedule(0, {}), t).max_buffer == 0
+    assert schedule_metrics(Schedule(4, {}), t).max_buffer == 5
+    assert schedule_metrics(Schedule(4, {}), t).total_switches == 0
+
+
+def test_touching_intervals_are_one_awake_run():
+    _, t = _rates_star([3])
+    s = Schedule(4, {1: [(0, 2), (2, 1)]})
+    assert replay_schedule(s, t).awake_intervals == {0: 1, 1: 1}
+    assert schedule_metrics(s, t).total_switches == 2
+    apart = Schedule(4, {1: [(0, 2), (3, 1)]})
+    assert schedule_metrics(apart, t).total_switches == 4
 
 
 def test_validation_does_not_walk_slots(monkeypatch):
