@@ -13,24 +13,26 @@ visits a slot.
 
 `replay_schedule` additionally tracks individual packets, tagged with
 their origin, through per-node FIFO queues: a node's own packets are
-queued at cycle start, ahead of anything it later receives, and each
-occupied slot forwards one packet to the parent. Only the occupied slots
-are visited, run by run of `Schedule.runs()`, so it costs
-O(transmissions + n), not O(slots × n). A buffer level is recorded as a
-(slot, level) change point when a node's level after a slot resolves
-differs from its last one; `SimTrace.buffer_series` expands the change
-points into per-slot levels only when it is read. The packet walk serves
-only packet origins and change points: causality and awake counts come
-from the kernel. `scheduler.validate_schedule` keeps its own count-level
+queued at cycle start, ahead of anything it later receives, and a
+transmitter forwards one packet to its parent in each of its slots. The
+replay moves packets per run of `Schedule.runs()`: each transmitter's
+packets for the whole run in one slice (one slot at a time only where a
+node and its parent both transmit in the run), so its Python work grows
+with the runs and its C work with the transmissions, never with the idle
+slots. A buffer level is recorded as a (slot, level) change point when a
+node's level after a slot differs from its last one;
+`SimTrace.buffer_series` expands the change points into per-slot levels
+only when it is read. The packet walk serves only packet origins and
+change points: causality and awake counts come from the kernel. `scheduler.validate_schedule` keeps its own count-level
 walk over the runs, because it reports every fault, not only the first.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .scheduler import _spans
 from .tree import SpanningTree
 
 if TYPE_CHECKING:
@@ -148,44 +150,70 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
 
 
 def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
-    """Replay one cycle's packets over its occupied slots.
+    """Replay one cycle's packets run by run of `Schedule.runs()`.
 
     Returns each non-sink node's buffer change points and the sink arrivals
-    (origin, slot). The one caller, `replay_schedule`, has `_node_counts`
-    reject a schedule in which the sink or a node outside the tree
-    transmits, or a node sends from an empty buffer, so every send pops a
-    packet.
+    (origin, slot). A queue is a list read from a head index, and a run of
+    L slots moves each transmitter's next L packets as one slice. A
+    receiver appends its transmitting children's slices interleaved slot by
+    slot, children in id order within a slot, as one packet per slot and
+    transmitter would arrive; a node sends before it receives in a slot.
+    Where a node and its parent both transmit in a longer run, the run is
+    taken one slot at a time (`scheduler._spans`). The one caller,
+    `replay_schedule`, has `_node_counts` reject a schedule in which the
+    sink or a node outside the tree transmits, or a node sends from an
+    empty buffer, so every slice is full.
     """
     parent = tree.parent
     sink = tree.sink
-    queues = {u: deque([u] * tree.gen_rate[u]) for u in tree.non_sink_nodes()}
+    queues = {u: [u] * tree.gen_rate[u] for u in tree.non_sink_nodes()}
+    heads = dict.fromkeys(queues, 0)
     changes = {u: [(0, len(queue))] for u, queue in queues.items()}
     arrivals: list[tuple[int, int]] = []
 
     for start, stop, txs in schedule.runs():
-        for slot in range(start, stop):
-            moved = [(parent[u], queues[u].popleft()) for u in txs]  # (receiver, packet origin)
-            touched = list(txs)
-            for receiver, packet in moved:
-                if receiver == sink:
-                    arrivals.append((packet, slot))
+        for a, b in _spans(start, stop, txs, parent):
+            width = b - a
+            slots = range(a, b)
+            inflow: dict[int, list[list[int]]] = {}  # receiver -> its children's slices, by child id
+            for u in txs:
+                head = heads[u]
+                heads[u] = head + width
+                inflow.setdefault(parent[u], []).append(queues[u][head : head + width])
+            step = dict.fromkeys(txs, -1)  # level change per slot
+            for p, slices in inflow.items():
+                if p == sink:
+                    arrivals += _interleave([list(zip(packets, slots)) for packets in slices])
                 else:
-                    queues[receiver].append(packet)
-                    touched.append(receiver)
-            for u in touched:  # levels once the slot has resolved
-                points = changes[u]
-                level = len(queues[u])
-                if points[-1][0] == slot:  # the cycle-start point, or u seen twice
-                    points[-1] = (slot, level)
-                elif points[-1][1] != level:
-                    points.append((slot, level))
+                    queues[p] += _interleave(slices)
+                    step[p] = step.get(p, 0) + len(slices)
+            for u, d in step.items():
+                if d:  # u's level changes in every slot of the span: one point per slot
+                    points = changes[u]
+                    level = len(queues[u]) - heads[u]
+                    if points[-1][0] == a:  # a span from slot 0 replaces the cycle-start point
+                        points.pop()
+                    points += zip(slots, range(level - d * (width - 1), level + d, d))
 
     return changes, arrivals
+
+
+def _interleave(slices: list[list]) -> list:
+    """Equal-length slices merged slot-major: every slice's first item, then every second, and so on."""
+    if len(slices) == 1:
+        return slices[0]
+    k = len(slices)
+    merged = [None] * (k * len(slices[0]))
+    for i, items in enumerate(slices):
+        merged[i::k] = items
+    return merged
 
 
 def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     """Replay one cycle and record buffers, arrivals and awake intervals.
 
+    Packets move run by run of `Schedule.runs()`, each transmitter's whole
+    run at once, with the arrivals and levels a slot-by-slot walk gives.
     A node is awake in a slot iff it transmits or one of its children does.
     Raises CausalityBreach on foreign schedules that transmit unheld packets
     or let the sink or a node outside the tree transmit; schedules produced

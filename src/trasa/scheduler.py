@@ -291,6 +291,18 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
+def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
+    """The run [start, stop) as one span, or slot by slot where a transmitter's parent transmits too.
+
+    Within a span a node either only sends or only receives, unless the
+    span is one slot wide, so its level changes by the same amount in
+    every slot of the span.
+    """
+    if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
+        return ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
+    return ((start, stop),)
+
+
 def validate_schedule(
     schedule: Schedule, conflicts: ConflictMap, tree: SpanningTree
 ) -> ValidationReport:
@@ -343,10 +355,7 @@ def validate_schedule(
         if strangers:
             continue  # a stranger has no parent, so the walk cannot route it
 
-        spans = ((start, stop),)
-        if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
-            spans = ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
-        for a, b in spans:
+        for a, b in _spans(start, stop, txs, parent):
             sent = []
             for u in txs:
                 k = min(b - a, held.get(u, 0))

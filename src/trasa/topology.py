@@ -23,7 +23,8 @@ class NetworkGraph:
     """Immutable unit-disk graph over 2-D node positions.
 
     Adjacency is derived from positions on construction and never stored in
-    files; re-reading a dump re-derives the same edge set.
+    files; re-reading a dump re-derives the same edge set. Each node's
+    neighbours are kept as one ascending tuple of ids.
     """
 
     def __init__(
@@ -49,7 +50,8 @@ class NetworkGraph:
     def n(self) -> int:
         return len(self.positions)
 
-    def neighbors(self, u: int) -> frozenset[int]:
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """The nodes linked to u, as a tuple in ascending id order."""
         self._check_node(u)
         return self._adjacency[u]
 
@@ -99,14 +101,17 @@ def _area(area) -> tuple[float, float]:
 
 def _derive_adjacency(
     positions: tuple[tuple[float, float], ...], range_r: float
-) -> list[frozenset[int]]:
+) -> list[tuple[int, ...]]:
     pts = np.asarray(positions, dtype=float)
     with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range
         diff = pts[:, None, :] - pts[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diff, diff)
     close = dist2 < range_r * range_r
     np.fill_diagonal(close, False)
-    return [frozenset(np.flatnonzero(close[i]).tolist()) for i in range(len(positions))]
+    rows, cols = np.nonzero(close)  # row-major, so each row's columns ascend
+    ends = np.searchsorted(rows, np.arange(1, len(positions) + 1)).tolist()
+    cols = cols.tolist()
+    return [tuple(cols[i:j]) for i, j in zip([0] + ends, ends)]
 
 
 def generate_random_graph(

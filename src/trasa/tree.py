@@ -117,16 +117,16 @@ def build_spanning_tree(
         for v in sorted(waiting):
             if not open_parents:
                 break
-            options = graph.neighbors(v) & open_parents
-            if options:
-                p = min(options)
-                parent[v] = p
-                depth[v] = d
-                kids = children[p]
-                kids.append(v)
-                if len(kids) >= max_children:
-                    open_parents.remove(p)
-                layer.append(v)
+            for p in graph.neighbors(v):  # ascending, so the first open parent is the lowest-id one
+                if p in open_parents:
+                    parent[v] = p
+                    depth[v] = d
+                    kids = children[p]
+                    kids.append(v)
+                    if len(kids) >= max_children:
+                        open_parents.remove(p)
+                    layer.append(v)
+                    break
         unattached.difference_update(layer)
 
     if unattached:

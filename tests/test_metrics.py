@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -17,7 +19,9 @@ from trasa.scheduler import (
     run_trasa,
     validate_schedule,
 )
+from trasa import metrics
 from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule, schedule_metrics
+from trasa.topology import NetworkGraph
 
 from conftest import chain_graph, random_tree, star_graph
 
@@ -518,3 +522,99 @@ def test_replay_records_work_per_transmission():
     assert points <= sends + receives + g.n
     assert points * 20 < s.length * (g.n - 1)  # far below one sample per slot and node
     assert compute_metrics(trace, s, t).max_buffer == max(max(lv) for lv in trace.buffer_series.values())
+
+
+# --- the run-level packet replay ------------------------------------------------
+
+
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_replay_of_the_large_tree_rate4_instances_is_pinned():
+    # the seed-1 pass-0 instances of the benchmark's README pipeline, made of long
+    # runs (60-67 runs over 3,000-3,800 slots); digests recorded with a slot-by-slot replay
+    config = ExperimentConfig(
+        n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
+        variant=Variant.TREE_ONLY, gen_rate=4, runs=2, base_seed=1,
+    )
+    pinned = {
+        0: (
+            "510231125fc7b0e9da03866322b1f21a6352ce282637afe02465ee2097b78bbc",
+            "9d635f054aa8adae968df8c5dc6f9ae305edb0cd70ae84ebbb349cb98b529ece",
+            "cfe8890e97b188eeda8616ee22db9dc3da5047bd14833c44fced577c4b7d3161",
+        ),
+        1: (
+            "caad6db24375cd284f41a263b8c72185c93b59f08c55f10499c09c67d0079222",
+            "aa09934b21ecf861e94823339613b9d740b3ef0593e936ef61171845e2adc294",
+            "f4cc2692c6f3cf6bf08c7570ec18a6a4ee2534d60863d729a845f87e6fe8b6bb",
+        ),
+    }
+    for run_index, digests in pinned.items():
+        g, t, _ = sample_instance(config, 500, run_index)
+        s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
+        trace = replay_schedule(s, t)
+        assert (
+            _sha256(sorted(trace.buffer_changes.items())),
+            _sha256(trace.packet_arrivals),
+            _sha256(sorted(trace.awake_intervals.items())),
+        ) == digests
+
+
+def test_replay_cost_does_not_grow_with_run_width():
+    width = 100_000
+    t = build_spanning_tree(chain_graph(2), max_children=1, gen_rate={1: width})
+    s = Schedule(width, {1: [(0, width)]})
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    sys.settrace(count_lines)
+    try:
+        changes, arrivals = metrics._replay(s, t)
+    finally:
+        sys.settrace(None)
+    assert lines < 200  # a walk slot by slot runs over 100,000 lines
+    assert arrivals == [(1, slot) for slot in range(width)]
+    assert changes == {1: list(zip(range(width), range(width - 1, -1, -1)))}
+
+
+def _check_replay(schedule, tree, arrivals):
+    trace = replay_schedule(schedule, tree)
+    assert trace.packet_arrivals == arrivals
+    assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == _reference_replay(schedule, tree)
+    return trace
+
+
+def test_replay_interleaves_siblings_sending_to_one_parent_in_one_run():
+    # 0 - 1 - {2, 3}: the siblings are two hops apart, so at h=1 TREE_ONLY they share slots 1-2
+    g = NetworkGraph([(0.0, 0.0), (0.05, 0.0), (0.1, 0.0), (0.05, 0.05)], 0.07, (1.0, 1.0))
+    t = build_spanning_tree(g, max_children=2, gen_rate={1: 1, 2: 3, 3: 2})
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 1), 1)
+    assert s.allocations == {1: [(0, 1), (4, 5)], 2: [(1, 3)], 3: [(1, 2)]}
+    assert (1, 3, (2, 3)) in list(s.runs())
+    # node 1 queues 2, 3, 2, 3 in slots 1-2 and 2 in slot 3, and forwards them in that order
+    trace = _check_replay(s, t, [(1, 0), (2, 4), (3, 5), (2, 6), (3, 7), (2, 8)])
+    assert trace.buffer_changes[1] == [(0, 0), (1, 2), (2, 4), (3, 5), (4, 4), (5, 3), (6, 2), (7, 1), (8, 0)]
+
+
+def test_replay_interleaves_sink_children_sharing_a_run():
+    g, t = _rates_star([3, 2])
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 1), 1)
+    assert list(s.runs()) == [(0, 2, (1, 2)), (2, 3, (1,))]
+    _check_replay(s, t, [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)])
+
+
+def test_replay_takes_a_run_with_parent_and_child_slot_by_slot():
+    # 0 - 1 - 2, both sending in slots 0-1: node 1 holds one packet of its own, so it
+    # sends in slot 1 what node 2 sent in slot 0, and its level stays 1 until slot 2
+    g = chain_graph(3)
+    t = build_spanning_tree(g, max_children=1, gen_rate={1: 1, 2: 2})
+    s = Schedule(3, {1: [(0, 3)], 2: [(0, 2)]})
+    assert list(s.runs()) == [(0, 2, (1, 2)), (2, 3, (1,))]
+    assert validate_schedule(s, build_conflict_map(g, t, Variant.ALL_LINKS, 1), t).of_kind(CONFLICT)
+    trace = _check_replay(s, t, [(1, 0), (2, 1), (2, 2)])
+    assert trace.buffer_changes == {1: [(0, 1), (2, 0)], 2: [(0, 1), (1, 0)]}

@@ -35,14 +35,25 @@ def test_unit_disk_rule_is_strict():
 
 
 def test_adjacency_matches_pairwise_distance_recomputation():
-    g = generate_random_graph(50, (1.0, 1.0), 0.4, seed=123)
-    expected = set()
-    for u, v in itertools.combinations(range(g.n), 2):
-        if math.dist(g.positions[u], g.positions[v]) < g.range_r:
-            expected.add((u, v))
-    assert set(g.edges()) == expected
-    for u, v in expected:
-        assert g.has_edge(u, v) and g.has_edge(v, u)
+    graphs = [
+        generate_random_graph(50, (1.0, 1.0), 0.4, seed=123),
+        generate_random_graph(1, (1.0, 1.0), 0.4, seed=5),
+        NetworkGraph([(0.0, 0.0), (0.4, 0.0), (0.1, 0.1)], 0.4, (1.0, 1.0)),  # 0 and 1 exactly r apart
+    ]
+    for g in graphs:
+        expected = set()
+        for u, v in itertools.combinations(range(g.n), 2):
+            if math.dist(g.positions[u], g.positions[v]) < g.range_r:
+                expected.add((u, v))
+        assert set(g.edges()) == expected
+        for u, v in itertools.permutations(range(g.n), 2):
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in expected)
+        for u in range(g.n):
+            nbrs = g.neighbors(u)
+            assert type(nbrs) is tuple and all(a < b for a, b in zip(nbrs, nbrs[1:]))
+            assert set(nbrs) == {v for v in range(g.n) if (min(u, v), max(u, v)) in expected}
+    assert graphs[1].neighbors(0) == ()
+    assert graphs[2].edges() == [(0, 2), (1, 2)]  # the pair at exactly the range stays a non-edge
 
 
 def test_generation_is_deterministic():
