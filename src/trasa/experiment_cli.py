@@ -259,8 +259,6 @@ def _parse_rate(text: str) -> int | RateFile:
                     rates[node] = rate
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read rate file {path!r}: {exc}") from exc
-        if any(r < 0 for r in rates.values()):
-            raise ConfigError("rates must be non-negative")
         return RateFile(path, rates)
     try:
         return int(text)

@@ -1,15 +1,12 @@
 """Schedule metrics from per-node packet counts, and an event-driven packet replay.
 
-The metrics need no packet identities. Their kernel, `_node_counts`, visits
-each tree node once: it merges the node's own intervals with its children's
-into sorted events and sweeps the segments between consecutive event slots.
-Within a segment the node's buffer changes by a constant per slot, its
-children's sends minus its own, and a node sends before it receives in the
-same slot. So each segment yields the node's awake runs, its highest level
-(at the segment's first or last slot) and whether it sends from an empty
-buffer; delivery and the delay sum come from the sink's children's
-intervals. The kernel costs O(n + intervals · log intervals) and never
-visits a slot.
+The metrics need no packet identities. They read `scheduler._count_walk`,
+the one count-level walk of the causality rule (`validate_schedule` reads
+it too): per tree node, one sweep over the segments between the events of
+its own and its children's intervals, giving its awake runs, its highest
+level and its faults without visiting a slot. `_node_counts` raises the
+first fault; delivery and the delay sum come from the sink's children's
+intervals.
 
 `replay_schedule` additionally tracks individual packets, tagged with
 their origin, through per-node FIFO queues: a node's own packets are
@@ -23,8 +20,7 @@ slots. A buffer level is recorded as a (slot, level) change point when a
 node's level after a slot differs from its last one;
 `SimTrace.buffer_series` expands the change points into per-slot levels
 only when it is read. The packet walk serves only packet origins and
-change points: causality and awake counts come from the kernel. `scheduler.validate_schedule` keeps its own count-level
-walk over the runs, because it reports every fault, not only the first.
+change points: causality and awake counts come from the count walk.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .scheduler import _spans
+from .scheduler import _count_walk
 from .tree import SpanningTree
 
 if TYPE_CHECKING:
@@ -81,72 +77,32 @@ class Metrics:
 
 
 def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int]:
-    """Each node's awake-interval count and the highest non-sink buffer level.
-
-    One sweep per tree node over the events of its own and its children's
-    intervals. A segment between two event slots sends `sends` (0 or 1)
-    and receives `receives` packets per slot, so the level after its k-th
-    slot is the level before it plus k·(receives − sends), and its highest
-    level is after its first or its last slot: the start level counts only
-    where a node neither sends nor receives in slot 0. A run of segments
-    with activity is one awake interval, touching intervals included.
+    """Each node's awake-interval count and the highest non-sink buffer level, from `_count_walk`.
 
     Raises CausalityBreach where the sink or a node outside the tree
     transmits, or for the first (slot, node) that sends from an empty
-    buffer. Each node's levels assume its children never run dry, which
-    holds up to the first fault of the whole schedule; so the smallest
-    per-node first fault is the replay's first fault.
+    buffer.
     """
-    allocations = schedule.allocations
-    strangers = [u for u in sorted(allocations) if u == tree.sink or u not in tree.depth]
+    strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    children = tree.children
-    rate = tree.gen_rate
-    sink = tree.sink
-    length = schedule.length
-    awake: dict[int, int] = {}
-    peak = 0
-    fault = None  # the first (slot, node) that sends from an empty buffer
-    for u in tree.nodes():
-        events = [(length, 0, 0)]  # (slot, change in sends, change in receives); closes the last segment
-        for start, width in allocations.get(u, ()):
-            events += ((start, 1, 0), (start + width, -1, 0))
-        for v in children.get(u, ()):
-            for start, width in allocations.get(v, ()):
-                events += ((start, 0, 1), (start + width, 0, -1))
-        events.sort()
-        level = rate.get(u, 0)
-        top = sends = receives = runs = prev = 0
-        active = dry = False
-        for slot, ds, dr in events:
-            if slot != prev:  # the segment [prev, slot) at the current rates
-                if sends or receives:
-                    if not active:
-                        runs += 1
-                        active = True
-                    d = receives - sends
-                    if sends and not dry and (not level or d < 0 and level < slot - prev):
-                        dry = True  # empty after `level` sends; later levels are not exact
-                        if fault is None or (prev + level, u) < fault:
-                            fault = (prev + level, u)
-                    if level + d > top:
-                        top = level + d
-                    level += (slot - prev) * d
-                else:
-                    active = False
-                if level > top:
-                    top = level
-                prev = slot
-            sends += ds
-            receives += dr
-        awake[u] = runs
-        if u != sink and top > peak:
-            peak = top
-    if fault:
-        slot, u = fault
+    awake, peak, faults = _count_walk(schedule, tree)
+    if faults:
+        slot, u = min((start, u) for start, _, u in faults)
         raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
     return awake, peak
+
+
+def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
+    """The run [start, stop) as one span, or slot by slot where a transmitter's parent transmits too.
+
+    Within a span a node either only sends or only receives, unless the
+    span is one slot wide, so its level changes by the same amount in
+    every slot of the span.
+    """
+    if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
+        return ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
+    return ((start, stop),)
 
 
 def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
@@ -159,7 +115,7 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
     slot, children in id order within a slot, as one packet per slot and
     transmitter would arrive; a node sends before it receives in a slot.
     Where a node and its parent both transmit in a longer run, the run is
-    taken one slot at a time (`scheduler._spans`). The one caller,
+    taken one slot at a time (`_spans`). The one caller,
     `replay_schedule`, has `_node_counts` reject a schedule in which the
     sink or a node outside the tree transmits, or a node sends from an
     empty buffer, so every slice is full.

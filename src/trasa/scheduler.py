@@ -291,16 +291,74 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
-    """The run [start, stop) as one span, or slot by slot where a transmitter's parent transmits too.
+def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int, list[tuple[int, int, int]]]:
+    """Each node's awake-interval count, the highest non-sink level and every fault range.
 
-    Within a span a node either only sends or only receives, unless the
-    span is one slot wide, so its level changes by the same amount in
-    every slot of the span.
+    The one count-level walk of the causality rule: a node forwards only
+    packets it holds and sends before it receives in a slot. Nodes are
+    visited children first, in decreasing depth; each sweeps the sorted
+    events of its own and its children's intervals, so between two event
+    slots it sends 0 or 1 and receives a fixed number of packets per slot.
+    Holding `level` packets, it faults in [prev + level, slot) of a segment
+    that receives nothing, and in the segment's first slot alone if it
+    starts empty while receiving. A fault (start, stop, node) moves nothing,
+    so it comes off the parent's receives; the sink's own intervals are all
+    faults, and nodes outside the tree are not walked. A segment's highest
+    level is after its first or last slot, so the start level counts only
+    where a node is idle in slot 0; a run of segments with activity is one
+    awake interval. No slot is visited.
     """
-    if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
-        return ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
-    return ((start, stop),)
+    allocations = schedule.allocations
+    children = tree.children
+    rate = tree.gen_rate
+    sink = tree.sink
+    length = schedule.length
+    depth = tree.depth
+    awake: dict[int, int] = {}
+    peak = 0
+    lost: dict[int, list[tuple[int, int]]] = {}  # node -> its fault ranges
+    if sink in allocations:
+        lost[sink] = [(start, start + width) for start, width in allocations[sink]]
+    for u in sorted(depth, key=depth.__getitem__, reverse=True):
+        events = [(length, 0, 0)]  # (slot, change in sends, change in receives); closes the last segment
+        if u != sink:
+            for start, width in allocations.get(u, ()):
+                events += ((start, 1, 0), (start + width, -1, 0))
+        for v in children.get(u, ()):
+            for start, width in allocations.get(v, ()):
+                events += ((start, 0, 1), (start + width, 0, -1))
+            if v in lost:
+                for start, stop in lost[v]:
+                    events += ((start, 0, -1), (stop, 0, 1))
+        events.sort()
+        level = rate.get(u, 0)
+        top = sends = receives = runs = prev = 0
+        active = False
+        for slot, ds, dr in events:
+            if slot != prev:  # the segment [prev, slot) at the current rates
+                if sends or receives:
+                    if not active:
+                        runs += 1
+                        active = True
+                    d = receives - sends
+                    if level + d > top:
+                        top = level + d
+                    if sends and (not level or not receives and level < slot - prev):
+                        stop = prev + 1 if receives else slot
+                        lost.setdefault(u, []).append((prev + level, stop))
+                        level = stop - prev  # a fault sends nothing
+                    level += (slot - prev) * d
+                else:
+                    active = False
+                if level > top:
+                    top = level
+                prev = slot
+            sends += ds
+            receives += dr
+        awake[u] = runs
+        if u != sink and top > peak:
+            peak = top
+    return awake, peak, [(start, stop, u) for u, ranges in lost.items() for start, stop in ranges]
 
 
 def validate_schedule(
@@ -309,20 +367,14 @@ def validate_schedule(
     """Check a schedule for interference, causality and delivery violations.
 
     Violations are data, not exceptions: an empty report certifies the
-    schedule. The check works once per run of `Schedule.runs()`, a span of
-    slots with one transmitter set. A run's transmitters are tested
-    pairwise only when the OR of their conflict masks hits one of them, and
-    each conflicting pair is reported in every slot of the run.
+    schedule. Conflicts are checked once per run of `Schedule.runs()`, a
+    span of slots with one transmitter set: the run's transmitters are
+    tested pairwise only when the OR of their conflict masks hits one of
+    them, and each conflicting pair is reported in every slot of the run.
 
-    Causality and delivery come from a count-level walk: `held[u]` counts
-    the packets of each non-sink node. In a run of L slots a transmitter
-    sends k = min(L, held[u]) packets, one per slot, gets one causality
-    violation for each slot after it runs dry, and its parent gains the k
-    packets once every transmitter has sent; the sink holds nothing, so it
-    gets one violation per slot. Where a node and its parent both transmit
-    in a longer run, the walk takes that run one slot at a time. Faults are
-    reported by (slot, node), and the sink's children deliver what they
-    send. A schedule naming nodes outside the tree gets one causality
+    Causality is one violation per slot of each `_count_walk` fault, by
+    (slot, node), and the sink receives what its children send outside
+    theirs. A schedule naming nodes outside the tree gets one causality
     violation per such node and no walk.
     """
     report = ValidationReport()
@@ -334,11 +386,6 @@ def validate_schedule(
         )
 
     masks = conflicts.masks
-    parent = tree.parent
-    sink = tree.sink
-    held = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
-    faults: list[tuple[int, int]] = []  # (slot, node): a transmission that moves nothing
-    delivered = 0
     for start, stop, txs in schedule.runs():
         present = blocked = 0
         for u in txs:
@@ -352,26 +399,11 @@ def validate_schedule(
                     report.violations.append(
                         Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}")
                     )
-        if strangers:
-            continue  # a stranger has no parent, so the walk cannot route it
-
-        for a, b in _spans(start, stop, txs, parent):
-            sent = []
-            for u in txs:
-                k = min(b - a, held.get(u, 0))
-                faults.extend((slot, u) for slot in range(a + k, b))
-                if k:
-                    held[u] -= k
-                    sent.append((parent[u], k))
-            for p, k in sent:  # receives after every send of the span
-                if p == sink:
-                    delivered += k
-                else:
-                    held[p] += k
-
     if strangers:
-        return report
-    faults.sort()
+        return report  # a stranger has no parent, so the walk cannot route it
+
+    sink = tree.sink
+    faults = sorted((slot, u) for start, stop, u in _count_walk(schedule, tree)[2] for slot in range(start, stop))
     for slot, u in faults:
         if u == sink:
             detail = "the sink must never transmit"
@@ -380,6 +412,8 @@ def validate_schedule(
             detail = f"node {u} transmits with an empty buffer in slot {slot}"
         report.violations.append(Violation(CAUSALITY, slot, (u,), detail))
 
+    sent = sum(schedule.total_width(v) for v in tree.children.get(sink, ()))
+    delivered = sent - sum(tree.parent.get(u) == sink for _, u in faults)
     expected = tree.total_generated()
     if delivered != expected:
         report.violations.append(

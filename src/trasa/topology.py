@@ -140,6 +140,7 @@ def within_h_hops(graph: NetworkGraph, u: int, v: int, h: int) -> bool:
     graph._check_node(v)
     if u == v:
         raise ValueError("within_h_hops is defined between distinct nodes")
+    h = _integer(h, "h")
     if h < 1:
         raise ValueError("h must be >= 1")
     return hop_distances_from(graph._adjacency, u).get(v, h + 1) <= h

@@ -281,6 +281,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_negative_rate_file_is_a_config_error(tmp_path, capsys):
+    rates = tmp_path / "rates.txt"
+    rates.write_text("1 -2\n")
+    assert main(["--nodes", "5", "--runs", "1", "--rate", f"@{rates}"]) == 1
+    assert capsys.readouterr().err == "config error: negative rate for node 1\n"
+
+
 def test_cli_sampling_failure_exit_code(monkeypatch, capsys):
     import trasa.experiment_cli as mod
 

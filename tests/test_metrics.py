@@ -296,6 +296,10 @@ def _check_against_references(schedule, conflicts, tree):
             with pytest.raises(CausalityBreach) as caught:
                 entry(schedule, tree)
             assert str(caught.value) == str(exc)
+        if tree.sink not in schedule.allocations and all(u in tree.depth for u in schedule.allocations):
+            # both entry points read the one count walk: the breach is the first causality fault
+            first = next(v for v in violations if v.kind == CAUSALITY)
+            assert str(exc) == f"node {first.nodes[0]} has no packet to send in slot {first.slot}"
         return violations
     trace = replay_schedule(schedule, tree)
     assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected

@@ -6,10 +6,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trasa.experiment_cli import ConfigError, RateFile, _parse_rate
+from trasa.experiment_cli import ConfigError, ExperimentConfig, RateFile, _parse_rate
 from trasa.topology import dump_graph, generate_random_graph, is_connected, parse_graph, within_h_hops
 from trasa.tree import Infeasible, build_spanning_tree, subtree_demand
 from trasa.scheduler import (
@@ -277,6 +278,7 @@ def test_parse_schedule_rejects_or_returns_a_valid_schedule(text):
     content=st.one_of(_RAW_TEXTS.map(str.encode), st.binary(max_size=40)),
 )
 @settings(max_examples=100, deadline=None)
+@example(text="1", content=b"1 -2\n")
 def test_parse_rate_rejects_or_returns_valid_rates(text, content):
     value = _parse_or_reject(_parse_rate, text, ConfigError)
     assert value is None or type(value) is int
@@ -287,4 +289,7 @@ def test_parse_rate_rejects_or_returns_valid_rates(text, content):
             value = _parse_or_reject(_parse_rate, spec, ConfigError)
             if value is not None:
                 assert type(value) is RateFile and str(value) == spec
-                assert all(type(u) is int and type(r) is int and r >= 0 for u, r in value.rates.items())
+                assert all(type(u) is int and type(r) is int for u, r in value.rates.items())
+                if any(r < 0 for r in value.rates.values()):  # the sign is checked once, by validate
+                    with pytest.raises(ConfigError, match="^negative rate for node "):
+                        ExperimentConfig(n_values=[5], gen_rate=value).validate()

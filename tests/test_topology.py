@@ -96,6 +96,9 @@ def test_within_h_hops_rejects_equal_nodes_and_bad_h():
         within_h_hops(g, 1, 1, 2)
     with pytest.raises(ValueError):
         within_h_hops(g, 0, 1, 0)
+    for h in ("2", True, 1.5):  # build_conflict_map rejects these too
+        with pytest.raises(ValueError, match="h must be an integer"):
+            within_h_hops(g, 0, 2, h)
 
 
 def test_disconnected_pair_is_never_within_h():
