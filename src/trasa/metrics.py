@@ -16,16 +16,19 @@ replay moves packets per run of `Schedule.runs()`: each transmitter's
 packets for the whole run in one slice (one slot at a time only where a
 node and its parent both transmit in the run), so its Python work grows
 with the runs and its C work with the transmissions, never with the idle
-slots. A buffer level is recorded as a (slot, level) change point when a
-node's level after a slot differs from its last one;
-`SimTrace.buffer_series` expands the change points into per-slot levels
-only when it is read. The packet walk serves only packet origins and
-change points: causality and awake counts come from the count walk.
+slots. Buffer levels are recorded per span, not per slot: for each node
+whose level changes in a span, one (start, stop, level after the span,
+step per slot) entry. `SimTrace.buffer_changes` expands the entries into
+per-slot (slot, level) change points, and `SimTrace.buffer_series` those
+into per-slot levels, only when they are read. The packet walk serves only
+packet origins and levels: causality and awake counts come from the count
+walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .scheduler import _count_walk
@@ -41,18 +44,38 @@ class CausalityBreach(RuntimeError):
 
 @dataclass
 class SimTrace:
-    """Raw replay record: buffer change points, sink arrivals, awake-interval counts.
+    """Raw replay record: per-span buffer levels, sink arrivals, awake-interval counts.
 
-    `buffer_changes[u]` holds (slot, level) points for each non-sink node
-    u: u's level after that slot, kept until the next point's slot. The
-    first point is at slot 0; each later one marks a slot after which the
-    level differs. `length` is the cycle length the points span.
+    `start_levels[u]` is each non-sink node u's level at cycle start, and
+    `level_spans[u]` lists, in slot order, one (start, stop, level, step)
+    entry per span [start, stop) in which u's level changes by `step` in
+    every slot, ending at `level` after slot stop - 1. `length` is the
+    cycle length the entries span.
     """
 
-    buffer_changes: dict[int, list[tuple[int, int]]]
+    start_levels: dict[int, int]
+    level_spans: dict[int, list[tuple[int, int, int, int]]]
     packet_arrivals: list[tuple[int, int]]  # (origin node, arrival slot at sink)
     awake_intervals: dict[int, int]
     length: int
+
+    @cached_property
+    def buffer_changes(self) -> dict[int, list[tuple[int, int]]]:
+        """Each non-sink node's (slot, level) change points, expanded from its spans on first read.
+
+        A point is u's level after that slot, kept until the next point's
+        slot. The first point is at slot 0; each later one marks a slot
+        after which the level differs.
+        """
+        changes: dict[int, list[tuple[int, int]]] = {}
+        for u, level in self.start_levels.items():
+            points = [(0, level)]
+            for a, b, after, d in self.level_spans[u]:
+                if a == 0:  # a span from slot 0 replaces the cycle-start point
+                    points.pop()
+                points += zip(range(a, b), range(after - d * (b - a - 1), after + d, d))
+            changes[u] = points
+        return changes
 
     @property
     def buffer_series(self) -> dict[int, list[int]]:
@@ -105,10 +128,11 @@ def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
     return ((start, stop),)
 
 
-def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
+def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, dict, list]:
     """Replay one cycle's packets run by run of `Schedule.runs()`.
 
-    Returns each non-sink node's buffer change points and the sink arrivals
+    Returns each non-sink node's cycle-start level, its per-span level
+    entries as `SimTrace.level_spans` holds them, and the sink arrivals
     (origin, slot). A queue is a list read from a head index, and a run of
     L slots moves each transmitter's next L packets as one slice. A
     receiver appends its transmitting children's slices interleaved slot by
@@ -124,7 +148,8 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
     sink = tree.sink
     queues = {u: [u] * tree.gen_rate[u] for u in tree.non_sink_nodes()}
     heads = dict.fromkeys(queues, 0)
-    changes = {u: [(0, len(queue))] for u, queue in queues.items()}
+    starts = {u: len(queue) for u, queue in queues.items()}
+    spans = {u: [] for u in queues}
     arrivals: list[tuple[int, int]] = []
 
     for start, stop, txs in schedule.runs():
@@ -144,14 +169,10 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, list]:
                     queues[p] += _interleave(slices)
                     step[p] = step.get(p, 0) + len(slices)
             for u, d in step.items():
-                if d:  # u's level changes in every slot of the span: one point per slot
-                    points = changes[u]
-                    level = len(queues[u]) - heads[u]
-                    if points[-1][0] == a:  # a span from slot 0 replaces the cycle-start point
-                        points.pop()
-                    points += zip(slots, range(level - d * (width - 1), level + d, d))
+                if d:  # u's level changes in every slot of the span
+                    spans[u].append((a, b, len(queues[u]) - heads[u], d))
 
-    return changes, arrivals
+    return starts, spans, arrivals
 
 
 def _interleave(slices: list[list]) -> list:
@@ -176,8 +197,7 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     by the greedy scheduler never do.
     """
     awake, _ = _node_counts(schedule, tree)
-    changes, arrivals = _replay(schedule, tree)
-    return SimTrace(changes, arrivals, awake, schedule.length)
+    return SimTrace(*_replay(schedule, tree), awake, schedule.length)
 
 
 def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:

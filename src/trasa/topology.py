@@ -102,10 +102,13 @@ def _area(area) -> tuple[float, float]:
 def _derive_adjacency(
     positions: tuple[tuple[float, float], ...], range_r: float
 ) -> list[tuple[int, ...]]:
-    pts = np.asarray(positions, dtype=float)
+    x, y = np.asarray(positions, dtype=float).T
     with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        dist2 = np.subtract.outer(x, x)
+        dist2 *= dist2
+        dy2 = np.subtract.outer(y, y)
+        dy2 *= dy2
+        dist2 += dy2
     close = dist2 < range_r * range_r
     np.fill_diagonal(close, False)
     rows, cols = np.nonzero(close)  # row-major, so each row's columns ascend
@@ -130,7 +133,7 @@ def generate_random_graph(
     width, height = _area(area)
     rng = np.random.default_rng(seed)
     unit = rng.random((n, 2))
-    positions = [(unit[i, 0] * width, unit[i, 1] * height) for i in range(n)]
+    positions = (unit * (width, height)).tolist()
     return NetworkGraph(positions, range_r, area, seed=seed)
 
 

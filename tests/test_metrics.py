@@ -565,6 +565,26 @@ def test_replay_of_the_large_tree_rate4_instances_is_pinned():
         ) == digests
 
 
+def test_replay_stores_buffer_levels_per_span_and_expands_them_on_read():
+    config = ExperimentConfig(
+        n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
+        variant=Variant.TREE_ONLY, gen_rate=4, runs=1, base_seed=1,
+    )
+    g, t, _ = sample_instance(config, 500, 0)
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
+    pairs = 0  # span x transmitter plus span x receiver (the sink included)
+    for start, stop, txs in s.runs():
+        for _ in metrics._spans(start, stop, txs, t.parent):
+            pairs += len(txs) + len({t.parent[u] for u in txs})
+    trace = replay_schedule(s, t)
+    entries = sum(map(len, trace.level_spans.values()))
+    assert "buffer_changes" not in vars(trace)
+    points = sum(map(len, trace.buffer_changes.values()))
+    assert "buffer_changes" in vars(trace)
+    assert entries <= pairs == 1820 and points == 21584  # the trace grows with the spans
+    assert trace.start_levels == {u: t.gen_rate[u] for u in t.non_sink_nodes()}
+
+
 def test_replay_cost_does_not_grow_with_run_width():
     width = 100_000
     t = build_spanning_tree(chain_graph(2), max_children=1, gen_rate={1: width})
@@ -578,12 +598,13 @@ def test_replay_cost_does_not_grow_with_run_width():
 
     sys.settrace(count_lines)
     try:
-        changes, arrivals = metrics._replay(s, t)
+        starts, spans, arrivals = metrics._replay(s, t)
     finally:
         sys.settrace(None)
     assert lines < 200  # a walk slot by slot runs over 100,000 lines
     assert arrivals == [(1, slot) for slot in range(width)]
-    assert changes == {1: list(zip(range(width), range(width - 1, -1, -1)))}
+    assert (starts, spans) == ({1: width}, {1: [(0, width, 0, -1)]})  # the whole run is one entry
+    assert replay_schedule(s, t).buffer_changes[1] == list(zip(range(width), range(width - 1, -1, -1)))
 
 
 def _check_replay(schedule, tree, arrivals):

@@ -56,6 +56,47 @@ def test_adjacency_matches_pairwise_distance_recomputation():
     assert graphs[2].edges() == [(0, 2), (1, 2)]  # the pair at exactly the range stays a non-edge
 
 
+def _einsum_adjacency(positions, range_r):
+    """The unit-disk rule with one n x n x 2 difference array and einsum, row by row."""
+    pts = np.asarray(positions, dtype=float)
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    close = dist2 < range_r * range_r
+    np.fill_diagonal(close, False)
+    return [tuple(np.flatnonzero(row).tolist()) for row in close]
+
+
+def test_adjacency_matches_the_einsum_rule():
+    rng = np.random.default_rng(1919)
+    ties = coincident = 0
+    for trial in range(320):
+        n = int(rng.integers(1, 160))
+        r = float(rng.uniform(0.02, 0.7))
+        pts = rng.random((n, 2))
+        kind = trial % 5
+        if kind == 1:  # snapped to a lattice of spacing r
+            pts = np.round(pts / r) * r
+        elif kind == 2:  # a dyadic lattice: neighbours exactly r apart, with no rounding
+            r = float(rng.choice([0.125, 0.25, 0.5]))
+            pts = rng.integers(0, 8, (n, 2)) * r
+        elif kind == 3:  # coincident pairs
+            pts[n // 2 :] = pts[: n - n // 2]
+        elif kind == 4:  # far from the origin
+            pts += rng.uniform(-1e6, 1e6, 2)
+        g = NetworkGraph(pts.tolist(), r, (1.0, 1.0))
+        assert [g.neighbors(u) for u in range(n)] == _einsum_adjacency(g.positions, r)
+        for u, v in itertools.combinations(range(n), 2):
+            apart = math.dist(g.positions[u], g.positions[v])
+            if kind == 2 and apart == r:
+                ties += 1
+                assert not g.has_edge(u, v)
+            elif apart == 0:
+                coincident += 1
+                assert g.has_edge(u, v)
+    assert ties >= 1000 and coincident >= 1000, (ties, coincident)
+
+
 def test_generation_is_deterministic():
     a = generate_random_graph(40, (2.0, 1.0), 0.3, seed=99)
     b = generate_random_graph(40, (2.0, 1.0), 0.3, seed=99)
