@@ -21,8 +21,9 @@ whose level changes in a span, one (start, stop, level after the span,
 step per slot) entry. `SimTrace.buffer_changes` expands the entries into
 per-slot (slot, level) change points, and `SimTrace.buffer_series` those
 into per-slot levels, only when they are read. The packet walk serves only
-packet origins and levels: causality and awake counts come from the count
-walk.
+packet origins and levels: causality, awake counts and the peak level come
+from the count walk, which `replay_schedule` runs once and stores in the
+trace, so `compute_metrics` on its trace does not walk again.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class SimTrace:
     `level_spans[u]` lists, in slot order, one (start, stop, level, step)
     entry per span [start, stop) in which u's level changes by `step` in
     every slot, ending at `level` after slot stop - 1. `length` is the
-    cycle length the entries span.
+    cycle length the entries span, and `max_buffer` the highest non-sink
+    level after any slot of it.
     """
 
     start_levels: dict[int, int]
@@ -58,6 +60,7 @@ class SimTrace:
     packet_arrivals: list[tuple[int, int]]  # (origin node, arrival slot at sink)
     awake_intervals: dict[int, int]
     length: int
+    max_buffer: int
 
     @cached_property
     def buffer_changes(self) -> dict[int, list[tuple[int, int]]]:
@@ -196,8 +199,8 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     or let the sink or a node outside the tree transmit; schedules produced
     by the greedy scheduler never do.
     """
-    awake, _ = _node_counts(schedule, tree)
-    return SimTrace(*_replay(schedule, tree), awake, schedule.length)
+    awake, max_buffer = _node_counts(schedule, tree)
+    return SimTrace(*_replay(schedule, tree), awake, schedule.length, max_buffer)
 
 
 def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
@@ -211,7 +214,20 @@ def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
     cycle, and total_switches sums every node's awake intervals. Raises
     CausalityBreach where `replay_schedule` does, with the same message.
     """
-    awake, max_buffer = _node_counts(schedule, tree)
+    return _metrics(schedule, tree, *_node_counts(schedule, tree))
+
+
+def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
+    """`schedule_metrics(schedule, tree)`, with the awake counts and peak level read from `trace`.
+
+    `trace` must be `replay_schedule(schedule, tree)`, which has already run
+    the count walk, so this runs no walk of its own.
+    """
+    return _metrics(schedule, tree, trace.awake_intervals, trace.max_buffer)
+
+
+def _metrics(schedule: Schedule, tree: SpanningTree, awake: dict[int, int], max_buffer: int) -> Metrics:
+    """The `Metrics` of a schedule given the count walk's awake counts and highest level."""
     delivered = delay_sum = 0
     for v in tree.children.get(tree.sink, ()):
         for start, width in schedule.allocations.get(v, ()):
@@ -226,12 +242,3 @@ def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
         max_buffer=max_buffer,
         total_switches=sum(awake.values()),
     )
-
-
-def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:
-    """`schedule_metrics(schedule, tree)`; `trace` is not read.
-
-    `trace` stays in the signature for existing callers of the form
-    `compute_metrics(replay_schedule(schedule, tree), schedule, tree)`.
-    """
-    return schedule_metrics(schedule, tree)

@@ -75,7 +75,7 @@ def build_conflict_map(
     if h < 1:
         raise ValueError("h must be >= 1")
     if variant is Variant.ALL_LINKS:
-        adjacency = {u: graph.neighbors(u) for u in range(graph.n)}
+        adjacency = dict(enumerate(graph._adjacency))
     elif variant is Variant.TREE_ONLY:
         adjacency = {}
         for u in tree.nodes():
@@ -112,7 +112,12 @@ class Schedule:
         self.length = length
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
-            ivs = sorted((_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals)
+            ivs = [
+                (s, w) if type(s) is int and type(w) is int  # the common case, taken as is
+                else (_integer(s, "interval start"), _integer(w, "interval width"))
+                for s, w in intervals
+            ]
+            ivs.sort()
             prev_end = -1
             for s, w in ivs:
                 if w < 1 or s < 0 or s + w > length:

@@ -104,6 +104,7 @@ def build_spanning_tree(
         raise ValueError("max_children must be >= 1")
     graph._check_node(sink)
     n = graph.n
+    adjacency = graph._adjacency
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {u: [] for u in range(n)}
     depth: dict[int, int] = {sink: 0}
@@ -112,12 +113,12 @@ def build_spanning_tree(
     while layer and unattached:
         d += 1
         open_parents = set(layer)
-        waiting = unattached.intersection(set().union(*map(graph.neighbors, layer)))
+        waiting = unattached.intersection(set().union(*map(adjacency.__getitem__, layer)))
         layer = []
         for v in sorted(waiting):
             if not open_parents:
                 break
-            for p in graph.neighbors(v):  # ascending, so the first open parent is the lowest-id one
+            for p in adjacency[v]:  # ascending, so the first open parent is the lowest-id one
                 if p in open_parents:
                     parent[v] = p
                     depth[v] = d

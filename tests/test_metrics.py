@@ -495,6 +495,29 @@ def test_validation_does_not_walk_slots(monkeypatch):
     assert validate_schedule(s, cm, t).violations == []
 
 
+def test_replay_then_metrics_runs_one_count_walk(monkeypatch):
+    config = ExperimentConfig(
+        n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
+        variant=Variant.TREE_ONLY, gen_rate=4, runs=1,
+    )
+    g, t, _ = sample_instance(config, 500, 0)
+    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
+    expected = schedule_metrics(s, t)
+    walk = metrics._count_walk
+    walks = 0
+
+    def counted(schedule, tree):
+        nonlocal walks
+        walks += 1
+        return walk(schedule, tree)
+
+    monkeypatch.setattr(metrics, "_count_walk", counted)
+    trace = replay_schedule(s, t)
+    assert compute_metrics(trace, s, t) == expected
+    assert walks == 1  # compute_metrics reads the awake counts and peak the replay stored
+    assert trace.max_buffer == expected.max_buffer
+
+
 def test_every_violation_kind_is_reported_in_order(chain_run):
     t, _ = chain_run
     cm = build_conflict_map(chain_graph(3), t, Variant.ALL_LINKS, 2)

@@ -427,6 +427,9 @@ def test_schedule_rejects_overlapping_intervals():
     for bad in ({1: [(0.5, 1.7)]}, {1: [(0, 1.0)]}, {1: [(float("inf"), 1)]}):
         with pytest.raises(ValueError):
             Schedule(3, bad)
+    for bad in ({1: [(True, 1)]}, {1: [(0, True)]}):  # a bool is an int subclass but not a slot count
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            Schedule(3, bad)
     with pytest.raises(ValueError):
         Schedule(2.5, {1: [(0, 1)]})
     assert Schedule(np.int64(3), {1: [(np.int32(0), np.int64(2))]}).allocations == {1: [(0, 2)]}

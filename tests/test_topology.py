@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,11 +71,12 @@ def _einsum_adjacency(positions, range_r):
 def test_adjacency_matches_the_einsum_rule():
     rng = np.random.default_rng(1919)
     ties = coincident = 0
+    band_edge = [0, 0]  # pairs at xj = fl(xi + r), unlinked and linked
     for trial in range(320):
         n = int(rng.integers(1, 160))
         r = float(rng.uniform(0.02, 0.7))
         pts = rng.random((n, 2))
-        kind = trial % 5
+        kind = trial % 6
         if kind == 1:  # snapped to a lattice of spacing r
             pts = np.round(pts / r) * r
         elif kind == 2:  # a dyadic lattice: neighbours exactly r apart, with no rounding
@@ -84,8 +86,14 @@ def test_adjacency_matches_the_einsum_rule():
             pts[n // 2 :] = pts[: n - n // 2]
         elif kind == 4:  # far from the origin
             pts += rng.uniform(-1e6, 1e6, 2)
+        elif kind == 5:  # each odd point r to the right of the even one before it, on the edge of its x band
+            pts[1::2, 0] = pts[: n - n % 2 : 2, 0] + r
+            pts[1::2, 1] = pts[: n - n % 2 : 2, 1]
         g = NetworkGraph(pts.tolist(), r, (1.0, 1.0))
         assert [g.neighbors(u) for u in range(n)] == _einsum_adjacency(g.positions, r)
+        if kind == 5:
+            for u in range(0, n - 1, 2):
+                band_edge[g.has_edge(u, u + 1)] += 1
         for u, v in itertools.combinations(range(n), 2):
             apart = math.dist(g.positions[u], g.positions[v])
             if kind == 2 and apart == r:
@@ -95,6 +103,19 @@ def test_adjacency_matches_the_einsum_rule():
                 coincident += 1
                 assert g.has_edge(u, v)
     assert ties >= 1000 and coincident >= 1000, (ties, coincident)
+    assert min(band_edge) >= 500, band_edge  # rounding links some pairs at the band's edge
+
+
+def test_adjacency_memory_grows_with_the_band_not_with_n_squared():
+    positions = np.random.default_rng(1).random((2000, 2)).tolist()
+    tracemalloc.start()
+    try:
+        g = NetworkGraph(positions, 0.08, (1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges()) > 30_000
+    assert peak < 2000 * 2000 * 8  # bytes: one n×n float64 array; the n×n builder peaked at ~73 MB
 
 
 def test_generation_is_deterministic():
