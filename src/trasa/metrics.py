@@ -4,26 +4,25 @@ The metrics need no packet identities. They read `scheduler._count_walk`,
 the one count-level walk of the causality rule (`validate_schedule` reads
 it too): per tree node, one sweep over the segments between the events of
 its own and its children's intervals, giving its awake runs, its highest
-level and its faults without visiting a slot. `_node_counts` raises the
-first fault; delivery and the delay sum come from the sink's children's
-intervals.
+level, its faults and its buffer levels without visiting a slot.
+`_node_counts` raises the first fault; delivery and the delay sum come from
+the sink's children's intervals.
 
-`replay_schedule` additionally tracks individual packets, tagged with
-their origin, through per-node FIFO queues: a node's own packets are
-queued at cycle start, ahead of anything it later receives, and a
-transmitter forwards one packet to its parent in each of its slots. The
-replay moves packets per run of `Schedule.runs()`: each transmitter's
-packets for the whole run in one slice (one slot at a time only where a
-node and its parent both transmit in the run), so its Python work grows
-with the runs and its C work with the transmissions, never with the idle
-slots. Buffer levels are recorded per span, not per slot: for each node
-whose level changes in a span, one (start, stop, level after the span,
-step per slot) entry. `SimTrace.buffer_changes` expands the entries into
-per-slot (slot, level) change points, and `SimTrace.buffer_series` those
-into per-slot levels, only when they are read. The packet walk serves only
-packet origins and levels: causality, awake counts and the peak level come
-from the count walk, which `replay_schedule` runs once and stores in the
-trace, so `compute_metrics` on its trace does not walk again.
+`replay_schedule` stores the count walk's results in a `SimTrace`: the
+levels as one (start, stop, level after the segment, step per slot) entry
+per segment in which a node's level changes, which `SimTrace.buffer_changes`
+expands into per-slot (slot, level) change points, and
+`SimTrace.buffer_series` those into per-slot levels, only when they are
+read. So `compute_metrics` on its trace does not walk again. The one thing
+the counts cannot give is which node each sink arrival came from: for
+that, `_replay` tracks individual packets, tagged with their origin,
+through per-node FIFO queues. A node's own packets are queued at cycle
+start, ahead of anything it later receives, and a transmitter forwards one
+packet to its parent in each of its slots. The replay moves packets per run
+of `Schedule.runs()`: each transmitter's packets for the whole run in one
+slice (one slot at a time only where a node and its parent both transmit in
+the run), so its Python work grows with the runs and its C work with the
+transmissions, never with the idle slots.
 """
 
 from __future__ import annotations
@@ -45,14 +44,15 @@ class CausalityBreach(RuntimeError):
 
 @dataclass
 class SimTrace:
-    """Raw replay record: per-span buffer levels, sink arrivals, awake-interval counts.
+    """Raw replay record: per-segment buffer levels, sink arrivals, awake-interval counts.
 
     `start_levels[u]` is each non-sink node u's level at cycle start, and
     `level_spans[u]` lists, in slot order, one (start, stop, level, step)
-    entry per span [start, stop) in which u's level changes by `step` in
-    every slot, ending at `level` after slot stop - 1. `length` is the
-    cycle length the entries span, and `max_buffer` the highest non-sink
-    level after any slot of it.
+    entry per segment [start, stop) of u's count walk in which u's level
+    changes by `step` in every slot, ending at `level` after slot stop - 1.
+    Adjacent entries may continue one another: they are not necessarily
+    maximal. `length` is the cycle length the entries span, and
+    `max_buffer` the highest non-sink level after any slot of it.
     """
 
     start_levels: dict[int, int]
@@ -102,8 +102,8 @@ class Metrics:
     total_switches: int
 
 
-def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int]:
-    """Each node's awake-interval count and the highest non-sink buffer level, from `_count_walk`.
+def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int, dict]:
+    """Each node's awake-interval count, the highest non-sink level and the level entries, from `_count_walk`.
 
     Raises CausalityBreach where the sink or a node outside the tree
     transmits, or for the first (slot, node) that sends from an empty
@@ -112,70 +112,57 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
     strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    awake, peak, faults = _count_walk(schedule, tree)
+    awake, peak, faults, spans = _count_walk(schedule, tree)
     if faults:
         slot, u = min((start, u) for start, _, u in faults)
         raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
-    return awake, peak
+    return awake, peak, spans
 
 
 def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
     """The run [start, stop) as one span, or slot by slot where a transmitter's parent transmits too.
 
     Within a span a node either only sends or only receives, unless the
-    span is one slot wide, so its level changes by the same amount in
-    every slot of the span.
+    span is one slot wide, so it moves whole slices of its queue.
     """
     if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
         return ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
     return ((start, stop),)
 
 
-def _replay(schedule: Schedule, tree: SpanningTree) -> tuple[dict, dict, list]:
-    """Replay one cycle's packets run by run of `Schedule.runs()`.
+def _replay(schedule: Schedule, tree: SpanningTree) -> list[tuple[int, int]]:
+    """The sink arrivals (origin, slot) of one cycle, replayed run by run of `Schedule.runs()`.
 
-    Returns each non-sink node's cycle-start level, its per-span level
-    entries as `SimTrace.level_spans` holds them, and the sink arrivals
-    (origin, slot). A queue is a list read from a head index, and a run of
-    L slots moves each transmitter's next L packets as one slice. A
-    receiver appends its transmitting children's slices interleaved slot by
-    slot, children in id order within a slot, as one packet per slot and
-    transmitter would arrive; a node sends before it receives in a slot.
-    Where a node and its parent both transmit in a longer run, the run is
-    taken one slot at a time (`_spans`). The one caller,
-    `replay_schedule`, has `_node_counts` reject a schedule in which the
-    sink or a node outside the tree transmits, or a node sends from an
-    empty buffer, so every slice is full.
+    A queue is a list read from a head index, and a run of L slots moves
+    each transmitter's next L packets as one slice. A receiver appends its
+    transmitting children's slices interleaved slot by slot, children in id
+    order within a slot, as one packet per slot and transmitter would
+    arrive; a node sends before it receives in a slot. Where a node and its
+    parent both transmit in a longer run, the run is taken one slot at a
+    time (`_spans`). `replay_schedule` has `_node_counts` reject a schedule
+    in which the sink or a node outside the tree transmits, or a node sends
+    from an empty buffer, so every slice is full.
     """
     parent = tree.parent
     sink = tree.sink
     queues = {u: [u] * tree.gen_rate[u] for u in tree.non_sink_nodes()}
     heads = dict.fromkeys(queues, 0)
-    starts = {u: len(queue) for u, queue in queues.items()}
-    spans = {u: [] for u in queues}
     arrivals: list[tuple[int, int]] = []
 
     for start, stop, txs in schedule.runs():
         for a, b in _spans(start, stop, txs, parent):
             width = b - a
-            slots = range(a, b)
             inflow: dict[int, list[list[int]]] = {}  # receiver -> its children's slices, by child id
             for u in txs:
                 head = heads[u]
                 heads[u] = head + width
                 inflow.setdefault(parent[u], []).append(queues[u][head : head + width])
-            step = dict.fromkeys(txs, -1)  # level change per slot
             for p, slices in inflow.items():
                 if p == sink:
-                    arrivals += _interleave([list(zip(packets, slots)) for packets in slices])
+                    arrivals += _interleave([list(zip(packets, range(a, b))) for packets in slices])
                 else:
                     queues[p] += _interleave(slices)
-                    step[p] = step.get(p, 0) + len(slices)
-            for u, d in step.items():
-                if d:  # u's level changes in every slot of the span
-                    spans[u].append((a, b, len(queues[u]) - heads[u], d))
-
-    return starts, spans, arrivals
+    return arrivals
 
 
 def _interleave(slices: list[list]) -> list:
@@ -192,15 +179,17 @@ def _interleave(slices: list[list]) -> list:
 def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     """Replay one cycle and record buffers, arrivals and awake intervals.
 
-    Packets move run by run of `Schedule.runs()`, each transmitter's whole
-    run at once, with the arrivals and levels a slot-by-slot walk gives.
+    The cycle-start levels are the nodes' generation rates; the level
+    entries, awake counts and peak come from the count walk, and the sink
+    arrivals from `_replay`, in the order a slot-by-slot packet walk gives.
     A node is awake in a slot iff it transmits or one of its children does.
     Raises CausalityBreach on foreign schedules that transmit unheld packets
     or let the sink or a node outside the tree transmit; schedules produced
     by the greedy scheduler never do.
     """
-    awake, max_buffer = _node_counts(schedule, tree)
-    return SimTrace(*_replay(schedule, tree), awake, schedule.length, max_buffer)
+    awake, max_buffer, spans = _node_counts(schedule, tree)
+    starts = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
+    return SimTrace(starts, spans, _replay(schedule, tree), awake, schedule.length, max_buffer)
 
 
 def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
@@ -214,7 +203,7 @@ def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
     cycle, and total_switches sums every node's awake intervals. Raises
     CausalityBreach where `replay_schedule` does, with the same message.
     """
-    return _metrics(schedule, tree, *_node_counts(schedule, tree))
+    return _metrics(schedule, tree, *_node_counts(schedule, tree)[:2])
 
 
 def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:

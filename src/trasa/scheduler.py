@@ -296,8 +296,8 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int, list[tuple[int, int, int]]]:
-    """Each node's awake-interval count, the highest non-sink level and every fault range.
+def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list, dict]:
+    """Each node's awake-interval count, the highest non-sink level, every fault range and level entry.
 
     The one count-level walk of the causality rule: a node forwards only
     packets it holds and sends before it receives in a slot. Nodes are
@@ -311,7 +311,10 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int],
     faults, and nodes outside the tree are not walked. A segment's highest
     level is after its first or last slot, so the start level counts only
     where a node is idle in slot 0; a run of segments with activity is one
-    awake interval. No slot is visited.
+    awake interval. Each non-sink node's level entries are, in slot order,
+    one (start, stop, level after the segment, step per slot) per segment
+    in which its level changes, as `SimTrace.level_spans` holds them. No
+    slot is visited.
     """
     allocations = schedule.allocations
     children = tree.children
@@ -322,6 +325,7 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int],
     awake: dict[int, int] = {}
     peak = 0
     lost: dict[int, list[tuple[int, int]]] = {}  # node -> its fault ranges
+    spans: dict[int, list[tuple[int, int, int, int]]] = {}  # non-sink node -> its level entries
     if sink in allocations:
         lost[sink] = [(start, start + width) for start, width in allocations[sink]]
     for u in sorted(depth, key=depth.__getitem__, reverse=True):
@@ -336,6 +340,9 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int],
                 for start, stop in lost[v]:
                     events += ((start, 0, -1), (stop, 0, 1))
         events.sort()
+        entries = []  # the sink records none
+        if u != sink:
+            spans[u] = entries
         level = rate.get(u, 0)
         top = sends = receives = runs = prev = 0
         active = False
@@ -353,6 +360,8 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int],
                         lost.setdefault(u, []).append((prev + level, stop))
                         level = stop - prev  # a fault sends nothing
                     level += (slot - prev) * d
+                    if d and u != sink:
+                        entries.append((prev, slot, level, d))
                 else:
                     active = False
                 if level > top:
@@ -363,7 +372,7 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int],
         awake[u] = runs
         if u != sink and top > peak:
             peak = top
-    return awake, peak, [(start, stop, u) for u, ranges in lost.items() for start, stop in ranges]
+    return awake, peak, [(start, stop, u) for u, ranges in lost.items() for start, stop in ranges], spans
 
 
 def validate_schedule(

@@ -60,11 +60,6 @@ class NetworkGraph:
         self._check_node(u)
         return self._adjacency[u]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adjacency[u]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._adjacency[u] if u < v]
 

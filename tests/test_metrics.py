@@ -516,6 +516,7 @@ def test_replay_then_metrics_runs_one_count_walk(monkeypatch):
     assert compute_metrics(trace, s, t) == expected
     assert walks == 1  # compute_metrics reads the awake counts and peak the replay stored
     assert trace.max_buffer == expected.max_buffer
+    assert metrics._replay(s, t) == trace.packet_arrivals
 
 
 def test_every_violation_kind_is_reported_in_order(chain_run):
@@ -621,13 +622,27 @@ def test_replay_cost_does_not_grow_with_run_width():
 
     sys.settrace(count_lines)
     try:
-        starts, spans, arrivals = metrics._replay(s, t)
+        arrivals = metrics._replay(s, t)
     finally:
         sys.settrace(None)
     assert lines < 200  # a walk slot by slot runs over 100,000 lines
     assert arrivals == [(1, slot) for slot in range(width)]
-    assert (starts, spans) == ({1: width}, {1: [(0, width, 0, -1)]})  # the whole run is one entry
-    assert replay_schedule(s, t).buffer_changes[1] == list(zip(range(width), range(width - 1, -1, -1)))
+    trace = replay_schedule(s, t)
+    assert (trace.start_levels, trace.level_spans) == ({1: width}, {1: [(0, width, 0, -1)]})  # the whole run is one entry
+    assert trace.buffer_changes[1] == list(zip(range(width), range(width - 1, -1, -1)))
+
+
+def test_level_entries_are_per_node_segments_not_global_runs():
+    # 0 - {1, 2}: node 2's one slot splits the global runs at slots 2 and 3, but not
+    # node 1's own segment, which sends in every slot
+    g = NetworkGraph([(0.0, 0.0), (0.05, 0.0), (0.0, 0.05)], 0.07, (1.0, 1.0))
+    t = build_spanning_tree(g, max_children=2, gen_rate={1: 4, 2: 1})
+    s = Schedule(4, {1: [(0, 4)], 2: [(2, 1)]})
+    assert list(s.runs()) == [(0, 2, (1,)), (2, 3, (1, 2)), (3, 4, (1,))]
+    trace = replay_schedule(s, t)
+    assert trace.level_spans == {1: [(0, 4, 0, -1)], 2: [(2, 3, 0, -1)]}
+    assert trace.buffer_changes == {1: [(0, 3), (1, 2), (2, 1), (3, 0)], 2: [(0, 1), (2, 0)]}
+    assert trace.packet_arrivals == [(1, 0), (1, 1), (1, 2), (2, 2), (1, 3)]
 
 
 def _check_replay(schedule, tree, arrivals):

@@ -92,7 +92,7 @@ def test_tree_only_contrasts_with_all_links():
     g = NetworkGraph(pts, 0.4, (1.0, 1.0))
     t = build_spanning_tree(g, max_children=3)
     assert t.parent[4] == 2 and t.parent[2] == 1 and t.parent[3] == 1
-    assert g.has_edge(3, 4)
+    assert 4 in g.neighbors(3)
     all_links = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
     tree_only = build_conflict_map(g, t, Variant.TREE_ONLY, 2)
     assert all_links.conflicts(3, 4)
