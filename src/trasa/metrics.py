@@ -19,10 +19,10 @@ that, `_replay` tracks individual packets, tagged with their origin,
 through per-node FIFO queues. A node's own packets are queued at cycle
 start, ahead of anything it later receives, and a transmitter forwards one
 packet to its parent in each of its slots. The replay moves packets per run
-of `Schedule.runs()`: each transmitter's packets for the whole run in one
-slice (one slot at a time only where a node and its parent both transmit in
-the run), so its Python work grows with the runs and its C work with the
-transmissions, never with the idle slots.
+of `Schedule.runs()`, each transmitter's packets for the whole run in one
+slice, children first, which FIFO order makes exact (see `_replay`), so
+its Python work grows with the runs and its C work with the transmissions,
+never with the idle slots.
 """
 
 from __future__ import annotations
@@ -119,17 +119,6 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
     return awake, peak, spans
 
 
-def _spans(start: int, stop: int, txs: tuple[int, ...], parent: dict[int, int]):
-    """The run [start, stop) as one span, or slot by slot where a transmitter's parent transmits too.
-
-    Within a span a node either only sends or only receives, unless the
-    span is one slot wide, so it moves whole slices of its queue.
-    """
-    if stop - start > 1 and not set(txs).isdisjoint(parent.get(u) for u in txs):
-        return ((slot, slot + 1) for slot in range(start, stop))  # a parent receives mid-run
-    return ((start, stop),)
-
-
 def _replay(schedule: Schedule, tree: SpanningTree) -> list[tuple[int, int]]:
     """The sink arrivals (origin, slot) of one cycle, replayed run by run of `Schedule.runs()`.
 
@@ -137,31 +126,37 @@ def _replay(schedule: Schedule, tree: SpanningTree) -> list[tuple[int, int]]:
     each transmitter's next L packets as one slice. A receiver appends its
     transmitting children's slices interleaved slot by slot, children in id
     order within a slot, as one packet per slot and transmitter would
-    arrive; a node sends before it receives in a slot. Where a node and its
-    parent both transmit in a longer run, the run is taken one slot at a
-    time (`_spans`). `replay_schedule` has `_node_counts` reject a schedule
-    in which the sink or a node outside the tree transmits, or a node sends
-    from an empty buffer, so every slice is full.
+    arrive. The transmitters are visited children first (by decreasing
+    depth, ids ascending within a depth), and one that receives in the run
+    appends that inflow before it takes its slice; the other receivers and
+    the sink take theirs at the end of the run. This is exact by FIFO
+    order: `replay_schedule` has `_node_counts` reject a schedule in which
+    the sink or a node outside the tree transmits, or a node sends from an
+    empty buffer in some slot, so a node's k-th send is the k-th packet of
+    its queue (own packets, then receives by slot and child id) whatever
+    the slot timing, and every slice of the append-only queue is full.
     """
     parent = tree.parent
+    depth = tree.depth
     sink = tree.sink
     queues = {u: [u] * tree.gen_rate[u] for u in tree.non_sink_nodes()}
     heads = dict.fromkeys(queues, 0)
     arrivals: list[tuple[int, int]] = []
 
     for start, stop, txs in schedule.runs():
-        for a, b in _spans(start, stop, txs, parent):
-            width = b - a
-            inflow: dict[int, list[list[int]]] = {}  # receiver -> its children's slices, by child id
-            for u in txs:
-                head = heads[u]
-                heads[u] = head + width
-                inflow.setdefault(parent[u], []).append(queues[u][head : head + width])
-            for p, slices in inflow.items():
-                if p == sink:
-                    arrivals += _interleave([list(zip(packets, range(a, b))) for packets in slices])
-                else:
-                    queues[p] += _interleave(slices)
+        width = stop - start
+        inflow: dict[int, list[list[int]]] = {}  # receiver -> its children's slices, by child id
+        for u in sorted(txs, key=depth.__getitem__, reverse=True):  # stable: siblings stay in id order
+            if u in inflow:
+                queues[u] += _interleave(inflow.pop(u))
+            head = heads[u]
+            heads[u] = head + width
+            inflow.setdefault(parent[u], []).append(queues[u][head : head + width])
+        for p, slices in inflow.items():
+            if p == sink:
+                arrivals += _interleave([list(zip(packets, range(start, stop))) for packets in slices])
+            else:
+                queues[p] += _interleave(slices)
     return arrivals
 
 

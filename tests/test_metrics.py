@@ -561,26 +561,46 @@ def _sha256(value):
 
 def test_replay_of_the_large_tree_rate4_instances_is_pinned():
     # the seed-1 pass-0 instances of the benchmark's README pipeline, made of long
-    # runs (60-67 runs over 3,000-3,800 slots); digests recorded with a slot-by-slot replay
+    # runs (60-67 runs over 3,000-3,800 slots), under the greedy schedule and under a
+    # conflicting but causal one in which every node sends its whole subtree demand
+    # from slot 0; digests recorded with a replay that split a run where a node and
+    # its parent both send
     config = ExperimentConfig(
         n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
         variant=Variant.TREE_ONLY, gen_rate=4, runs=2, base_seed=1,
     )
     pinned = {
-        0: (
+        (0, "greedy"): (
             "510231125fc7b0e9da03866322b1f21a6352ce282637afe02465ee2097b78bbc",
             "9d635f054aa8adae968df8c5dc6f9ae305edb0cd70ae84ebbb349cb98b529ece",
             "cfe8890e97b188eeda8616ee22db9dc3da5047bd14833c44fced577c4b7d3161",
         ),
-        1: (
+        (0, "all from slot 0"): (
+            "6ba2a5f0f9daee4d2e50996d3ac9f931572cede02d2c12f5b83cf87d0527d675",
+            "8edb208a67ce5353c0b03407e1549c852c5b1ecd3eefe27ec933f40f2b811e8d",
+            "65d24f8038e28e8ce14a31adc7eb5abb0cf80758df8e723c151b0993f7325a79",
+        ),
+        (1, "greedy"): (
             "caad6db24375cd284f41a263b8c72185c93b59f08c55f10499c09c67d0079222",
             "aa09934b21ecf861e94823339613b9d740b3ef0593e936ef61171845e2adc294",
             "f4cc2692c6f3cf6bf08c7570ec18a6a4ee2534d60863d729a845f87e6fe8b6bb",
         ),
+        (1, "all from slot 0"): (
+            "ced53dbb78cb04313ee42e4451c9db2748334b20a488c8942d68d15d1157e3f9",
+            "9ab465659f6acc55adab16e295aa795840e479acd1f8f446490a002ee52923d0",
+            "65d24f8038e28e8ce14a31adc7eb5abb0cf80758df8e723c151b0993f7325a79",
+        ),
     }
-    for run_index, digests in pinned.items():
+    for (run_index, kind), digests in pinned.items():
         g, t, _ = sample_instance(config, 500, run_index)
-        s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
+        cm = build_conflict_map(g, t, Variant.TREE_ONLY, 2)
+        if kind == "greedy":
+            s = run_trasa(t, cm, 2)
+        else:
+            demand = {u: subtree_demand(t, u) for u in t.non_sink_nodes()}
+            s = Schedule(max(demand.values()), {u: [(0, d)] for u, d in demand.items()})
+            violations = validate_schedule(s, cm, t).violations
+            assert violations and {v.kind for v in violations} == {CONFLICT}
         trace = replay_schedule(s, t)
         assert (
             _sha256(sorted(trace.buffer_changes.items())),
@@ -596,23 +616,20 @@ def test_replay_stores_buffer_levels_per_span_and_expands_them_on_read():
     )
     g, t, _ = sample_instance(config, 500, 0)
     s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
-    pairs = 0  # span x transmitter plus span x receiver (the sink included)
-    for start, stop, txs in s.runs():
-        for _ in metrics._spans(start, stop, txs, t.parent):
-            pairs += len(txs) + len({t.parent[u] for u in txs})
+    pairs = 0  # run x transmitter plus run x receiver (the sink included)
+    for _, _, txs in s.runs():
+        pairs += len(txs) + len({t.parent[u] for u in txs})
     trace = replay_schedule(s, t)
     entries = sum(map(len, trace.level_spans.values()))
     assert "buffer_changes" not in vars(trace)
     points = sum(map(len, trace.buffer_changes.values()))
     assert "buffer_changes" in vars(trace)
-    assert entries <= pairs == 1820 and points == 21584  # the trace grows with the spans
+    assert entries <= pairs == 1820 and points == 21584  # the trace grows with the runs
     assert trace.start_levels == {u: t.gen_rate[u] for u in t.non_sink_nodes()}
 
 
-def test_replay_cost_does_not_grow_with_run_width():
-    width = 100_000
-    t = build_spanning_tree(chain_graph(2), max_children=1, gen_rate={1: width})
-    s = Schedule(width, {1: [(0, width)]})
+def _traced_replay(schedule, tree):
+    """`metrics._replay(schedule, tree)` and the number of Python lines it ran."""
     lines = 0
 
     def count_lines(frame, event, arg):
@@ -622,14 +639,29 @@ def test_replay_cost_does_not_grow_with_run_width():
 
     sys.settrace(count_lines)
     try:
-        arrivals = metrics._replay(s, t)
+        arrivals = metrics._replay(schedule, tree)
     finally:
         sys.settrace(None)
+    return arrivals, lines
+
+
+def test_replay_cost_does_not_grow_with_run_width():
+    width = 100_000
+    t = build_spanning_tree(chain_graph(2), max_children=1, gen_rate={1: width})
+    s = Schedule(width, {1: [(0, width)]})
+    arrivals, lines = _traced_replay(s, t)
     assert lines < 200  # a walk slot by slot runs over 100,000 lines
     assert arrivals == [(1, slot) for slot in range(width)]
     trace = replay_schedule(s, t)
     assert (trace.start_levels, trace.level_spans) == ({1: width}, {1: [(0, width, 0, -1)]})  # the whole run is one entry
     assert trace.buffer_changes[1] == list(zip(range(width), range(width - 1, -1, -1)))
+    # 0 - 1 - 2 with node 1 forwarding while node 2 sends: a conflict, but causal,
+    # and still one run taken whole
+    t = build_spanning_tree(chain_graph(3), max_children=1, gen_rate={1: 1, 2: width})
+    s = Schedule(width + 1, {1: [(0, width + 1)], 2: [(0, width)]})
+    arrivals, lines = _traced_replay(s, t)
+    assert lines < 200
+    assert arrivals == [(1, 0)] + [(2, k) for k in range(1, width + 1)]
 
 
 def test_level_entries_are_per_node_segments_not_global_runs():
@@ -671,7 +703,7 @@ def test_replay_interleaves_sink_children_sharing_a_run():
     _check_replay(s, t, [(1, 0), (2, 0), (1, 1), (2, 1), (1, 2)])
 
 
-def test_replay_takes_a_run_with_parent_and_child_slot_by_slot():
+def test_replay_takes_a_run_with_parent_and_child_whole():
     # 0 - 1 - 2, both sending in slots 0-1: node 1 holds one packet of its own, so it
     # sends in slot 1 what node 2 sent in slot 0, and its level stays 1 until slot 2
     g = chain_graph(3)
