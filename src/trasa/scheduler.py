@@ -280,6 +280,7 @@ DELIVERY = "DELIVERY"
 class Violation:
     kind: str
     slot: int | None
+    stop: int | None
     nodes: tuple[int, ...]
     detail: str
 
@@ -306,9 +307,10 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
     slots it sends 0 or 1 and receives a fixed number of packets per slot.
     Holding `level` packets, it faults in [prev + level, slot) of a segment
     that receives nothing, and in the segment's first slot alone if it
-    starts empty while receiving. A fault (start, stop, node) moves nothing,
-    so it comes off the parent's receives; the sink's own intervals are all
-    faults, and nodes outside the tree are not walked. A segment's highest
+    starts empty while receiving. A fault range (start, stop, node), one
+    `validate_schedule` violation, moves nothing, so it comes off the
+    parent's receives; the sink's own intervals are all fault ranges, and
+    nodes outside the tree are not walked. A segment's highest
     level is after its first or last slot, so the start level counts only
     where a node is idle in slot 0; a run of segments with activity is one
     awake interval. Each non-sink node's level entries are, in slot order,
@@ -381,23 +383,24 @@ def validate_schedule(
     """Check a schedule for interference, causality and delivery violations.
 
     Violations are data, not exceptions: an empty report certifies the
-    schedule. Conflicts are checked once per run of `Schedule.runs()`, a
-    span of slots with one transmitter set: the run's transmitters are
-    tested pairwise only when the OR of their conflict masks hits one of
-    them, and each conflicting pair is reported in every slot of the run.
+    schedule. A violation covers slots `slot` to `stop` - 1 (None for
+    DELIVERY), so the report grows with the runs and fault ranges, not the
+    slots. Conflicts are checked per run of `Schedule.runs()`, a span of
+    slots with one transmitter set: its transmitters are tested pairwise
+    only when the OR of their conflict masks hits one of them, and each
+    conflicting pair is one violation for the run.
 
-    Causality is one violation per slot of each `_count_walk` fault, by
-    (slot, node), and the sink receives what its children send outside
-    theirs. A schedule naming nodes outside the tree gets one causality
-    violation per such node and no walk.
+    Causality is one violation per `_count_walk` fault range, and the sink
+    receives what its children send outside theirs. A schedule naming nodes
+    outside the tree gets one causality violation per such node and no walk.
+    Order: strangers, conflicts and causality each by (slot, nodes), delivery.
     """
     report = ValidationReport()
     strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
     for u in strangers:
         first_slot = schedule.allocations[u][0][0]
-        report.violations.append(
-            Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree")
-        )
+        detail = f"node {u} transmits but is not in the tree"
+        report.violations.append(Violation(CAUSALITY, first_slot, first_slot + 1, (u,), detail))
 
     masks = conflicts.masks
     for start, stop, txs in schedule.runs():
@@ -408,30 +411,28 @@ def validate_schedule(
                 blocked |= masks[u]
         if blocked & present:
             pairs = [(u, v) for i, u in enumerate(txs) for v in txs[i + 1 :] if conflicts.conflicts(u, v)]
-            for slot in range(start, stop):
-                for u, v in pairs:
-                    report.violations.append(
-                        Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}")
-                    )
+            for u, v in pairs:
+                detail = f"nodes {u} and {v} interfere in slots {start}..{stop - 1}"
+                report.violations.append(Violation(CONFLICT, start, stop, (u, v), detail))
     if strangers:
         return report  # a stranger has no parent, so the walk cannot route it
 
     sink = tree.sink
-    faults = sorted((slot, u) for start, stop, u in _count_walk(schedule, tree)[2] for slot in range(start, stop))
-    for slot, u in faults:
+    faults = sorted((start, u, stop) for start, stop, u in _count_walk(schedule, tree)[2])
+    for start, u, stop in faults:
         if u == sink:
             detail = "the sink must never transmit"
         else:
             # nothing to forward: flag it and let the delivery count expose the gap
-            detail = f"node {u} transmits with an empty buffer in slot {slot}"
-        report.violations.append(Violation(CAUSALITY, slot, (u,), detail))
+            detail = f"node {u} transmits with an empty buffer in slots {start}..{stop - 1}"
+        report.violations.append(Violation(CAUSALITY, start, stop, (u,), detail))
 
     sent = sum(schedule.total_width(v) for v in tree.children.get(sink, ()))
-    delivered = sent - sum(tree.parent.get(u) == sink for _, u in faults)
+    delivered = sent - sum(stop - start for start, u, stop in faults if tree.parent.get(u) == sink)
     expected = tree.total_generated()
     if delivered != expected:
         report.violations.append(
-            Violation(DELIVERY, None, (), f"sink received {delivered} of {expected} packets")
+            Violation(DELIVERY, None, None, (), f"sink received {delivered} of {expected} packets")
         )
     return report
 

@@ -116,21 +116,20 @@ def _derive_adjacency(
     n = len(positions)
     x, y = np.asarray(positions, dtype=float).T
     order = np.argsort(x, kind="stable")
-    xs = x[order]
+    xs, ys = x[order], y[order]
     with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range
         stop = np.searchsorted(xs, xs + range_r, side="right")
         first = np.arange(1, n + 1)
         counts = stop - first  # the later points in i's band
         left = np.repeat(np.arange(n), counts)
         right = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        a, b = order[left], order[right]
-        dist2 = x[b] - x[a]
+        dist2 = xs[right] - np.repeat(xs, counts)
         dist2 *= dist2
-        dy2 = y[b] - y[a]
+        dy2 = ys[right] - np.repeat(ys, counts)
         dy2 *= dy2
         dist2 += dy2
-    close = dist2 < range_r * range_r
-    a, b = a[close], b[close]
+    close = np.flatnonzero(dist2 < range_r * range_r)
+    a, b = order[left[close]], order[right[close]]
     keys = np.concatenate((a * n + b, b * n + a))  # both directions
     keys.sort()
     ends = np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()

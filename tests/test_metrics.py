@@ -16,12 +16,13 @@ from trasa.scheduler import (
     Variant,
     Violation,
     build_conflict_map,
+    parse_schedule,
     run_trasa,
     validate_schedule,
 )
 from trasa import metrics
 from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule, schedule_metrics
-from trasa.topology import NetworkGraph
+from trasa.topology import NetworkGraph, generate_random_graph
 
 from conftest import chain_graph, random_tree, star_graph
 
@@ -206,14 +207,18 @@ def _reference_validate(schedule, conflicts, tree):
     strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
     for u in strangers:
         first_slot = schedule.allocations[u][0][0]
-        violations.append(Violation(CAUSALITY, first_slot, (u,), f"node {u} transmits but is not in the tree"))
+        violations.append(
+            Violation(CAUSALITY, first_slot, first_slot + 1, (u,), f"node {u} transmits but is not in the tree")
+        )
     per_slot = _per_slot(schedule)
     for slot in range(schedule.length):
         txs = per_slot.get(slot, ())
         for i, u in enumerate(txs):
             for v in txs[i + 1 :]:
                 if conflicts.conflicts(u, v):
-                    violations.append(Violation(CONFLICT, slot, (u, v), f"nodes {u} and {v} interfere in slot {slot}"))
+                    violations.append(
+                        Violation(CONFLICT, slot, slot + 1, (u, v), f"nodes {u} and {v} interfere in slot {slot}")
+                    )
     if strangers:
         return violations
     buffers = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
@@ -222,11 +227,11 @@ def _reference_validate(schedule, conflicts, tree):
         arrivals = {}
         for u in per_slot.get(slot, ()):
             if u == tree.sink:
-                violations.append(Violation(CAUSALITY, slot, (u,), "the sink must never transmit"))
+                violations.append(Violation(CAUSALITY, slot, slot + 1, (u,), "the sink must never transmit"))
                 continue
             if buffers[u] < 1:
                 violations.append(
-                    Violation(CAUSALITY, slot, (u,), f"node {u} transmits with an empty buffer in slot {slot}")
+                    Violation(CAUSALITY, slot, slot + 1, (u,), f"node {u} transmits with an empty buffer in slot {slot}")
                 )
                 continue
             buffers[u] -= 1
@@ -238,7 +243,7 @@ def _reference_validate(schedule, conflicts, tree):
                 buffers[p] += count
     expected = tree.total_generated()
     if delivered != expected:
-        violations.append(Violation(DELIVERY, None, (), f"sink received {delivered} of {expected} packets"))
+        violations.append(Violation(DELIVERY, None, None, (), f"sink received {delivered} of {expected} packets"))
     return violations
 
 
@@ -285,10 +290,52 @@ def _broken_schedules(rng, schedule, graph, tree, conflicts):
     return schedules
 
 
+def _report_key(kind, slot, nodes, tree):
+    """A report's order: strangers by node, conflicts then causality by (slot, nodes), delivery last."""
+    if kind == DELIVERY:
+        return (3,)
+    if kind == CAUSALITY and nodes[0] not in tree.depth:
+        return (0, nodes)
+    return (1 if kind == CONFLICT else 2, slot, nodes)
+
+
+def _range_detail(v, tree):
+    """The detail a range violation must carry, with its slots as `start..stop-1`."""
+    if v.kind == CONFLICT:
+        return f"nodes {v.nodes[0]} and {v.nodes[1]} interfere in slots {v.slot}..{v.stop - 1}"
+    if v.nodes[0] not in tree.depth:
+        return f"node {v.nodes[0]} transmits but is not in the tree"
+    if v.nodes[0] == tree.sink:
+        return "the sink must never transmit"
+    return f"node {v.nodes[0]} transmits with an empty buffer in slots {v.slot}..{v.stop - 1}"
+
+
+def _assert_matches_reference(violations, reference, tree):
+    """The report's ranges expand slot by slot into the per-slot reference, in its order, with exact details."""
+    expected = [(v.kind, v.slot, v.nodes) for v in reference]
+    assert expected == sorted(expected, key=lambda e: _report_key(*e, tree))  # the reference's own order
+    starts = [_report_key(v.kind, v.slot, v.nodes, tree) for v in violations]
+    assert starts == sorted(starts)  # the report, read by the first slot of each range
+    expanded = [
+        (v.kind, slot, v.nodes)
+        for v in violations
+        for slot in ([None] if v.kind == DELIVERY else range(v.slot, v.stop))
+    ]
+    assert sorted(expanded, key=lambda e: _report_key(*e, tree)) == expected
+    for v in violations:
+        if v.kind == DELIVERY:
+            assert (v.slot, v.stop, v.nodes) == (None, None, ())
+            assert v.detail == reference[-1].detail
+        else:
+            assert v.slot < v.stop and v.detail == _range_detail(v, tree)
+            if v.nodes[0] not in tree.depth:
+                assert v.stop == v.slot + 1
+
+
 def _check_against_references(schedule, conflicts, tree):
     """Validation, replay and metrics of one schedule against the dense references; returns the violations."""
     violations = validate_schedule(schedule, conflicts, tree).violations
-    assert violations == _reference_validate(schedule, conflicts, tree)
+    _assert_matches_reference(violations, _reference_validate(schedule, conflicts, tree), tree)
     try:
         expected = _reference_replay(schedule, tree)
     except CausalityBreach as exc:
@@ -493,6 +540,19 @@ def test_validation_does_not_walk_slots(monkeypatch):
 
     monkeypatch.setattr(Schedule, "slots", refuse)
     assert validate_schedule(s, cm, t).violations == []
+    # a 3-line foreign file: two nodes interfere and run dry across a million slots
+    g = generate_random_graph(6, (1.0, 1.0), 0.9, seed=3)
+    t = build_spanning_tree(g, max_children=3)
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+    s = parse_schedule("schedule 1000000\n1 0:1000000\n2 0:1000000\n")
+    violations = validate_schedule(s, cm, t).violations
+    assert [(v.kind, v.slot, v.stop, v.nodes) for v in violations] == [
+        (CONFLICT, 0, 10**6, (1, 2)),
+        (CAUSALITY, 1, 10**6, (1,)),
+        (CAUSALITY, 1, 10**6, (2,)),
+        (DELIVERY, None, None, ()),
+    ]
+    assert violations[-1].detail == "sink received 2 of 5 packets"
 
 
 def test_replay_then_metrics_runs_one_count_walk(monkeypatch):
@@ -526,14 +586,21 @@ def test_every_violation_kind_is_reported_in_order(chain_run):
     # nothing left; node 1 never forwards node 2's packet
     s = Schedule(3, {0: [(1, 1)], 1: [(0, 1)], 2: [(0, 2)]})
     violations = validate_schedule(s, cm, t).violations
-    assert [(v.kind, v.slot, v.nodes) for v in violations] == [
-        (CONFLICT, 0, (1, 2)),
-        (CONFLICT, 1, (0, 2)),
-        (CAUSALITY, 1, (0,)),
-        (CAUSALITY, 1, (2,)),
-        (DELIVERY, None, ()),
+    assert [(v.kind, v.slot, v.stop, v.nodes) for v in violations] == [
+        (CONFLICT, 0, 1, (1, 2)),
+        (CONFLICT, 1, 2, (0, 2)),
+        (CAUSALITY, 1, 2, (0,)),
+        (CAUSALITY, 1, 2, (2,)),
+        (DELIVERY, None, None, ()),
     ]
-    assert violations == _reference_validate(s, cm, t)
+    assert [v.detail for v in violations] == [
+        "nodes 1 and 2 interfere in slots 0..0",
+        "nodes 0 and 2 interfere in slots 1..1",
+        "the sink must never transmit",
+        "node 2 transmits with an empty buffer in slots 1..1",
+        "sink received 1 of 2 packets",
+    ]
+    _assert_matches_reference(violations, _reference_validate(s, cm, t), t)
 
 
 def test_replay_records_work_per_transmission():
