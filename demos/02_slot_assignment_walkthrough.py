@@ -29,10 +29,8 @@ schedule = run_trasa(tree, conflicts, heuristic=1)
 
 lower, upper = schedule_length_bounds(tree)
 print(f"cycle length {schedule.length} (bounds: {lower}..{upper})")
-occupied = dict(schedule.slots())
-for slot in range(schedule.length):
-    txs = list(occupied.get(slot, ()))
-    print(f"  slot {slot}: transmitters {txs}")
+for start, stop, txs in schedule.runs():
+    print(f"  slots {start}..{stop - 1}: transmitters {list(txs)}")
 
 report = validate_schedule(schedule, conflicts, tree)
 print("schedule certified:", report.ok)

@@ -11,8 +11,7 @@ the sink's children's intervals.
 `replay_schedule` stores the count walk's results in a `SimTrace`: the
 levels as one (start, stop, level after the segment, step per slot) entry
 per segment in which a node's level changes, which `SimTrace.buffer_changes`
-expands into per-slot (slot, level) change points, and
-`SimTrace.buffer_series` those into per-slot levels, only when they are
+expands into per-slot (slot, level) change points only when they are
 read. So `compute_metrics` on its trace does not walk again. The one thing
 the counts cannot give is which node each sink arrival came from: for
 that, `_replay` tracks individual packets, tagged with their origin,
@@ -51,15 +50,14 @@ class SimTrace:
     entry per segment [start, stop) of u's count walk in which u's level
     changes by `step` in every slot, ending at `level` after slot stop - 1.
     Adjacent entries may continue one another: they are not necessarily
-    maximal. `length` is the cycle length the entries span, and
-    `max_buffer` the highest non-sink level after any slot of it.
+    maximal. `max_buffer` is the highest non-sink level after any slot of
+    the cycle.
     """
 
     start_levels: dict[int, int]
     level_spans: dict[int, list[tuple[int, int, int, int]]]
     packet_arrivals: list[tuple[int, int]]  # (origin node, arrival slot at sink)
     awake_intervals: dict[int, int]
-    length: int
     max_buffer: int
 
     @cached_property
@@ -79,18 +77,6 @@ class SimTrace:
                 points += zip(range(a, b), range(after - d * (b - a - 1), after + d, d))
             changes[u] = points
         return changes
-
-    @property
-    def buffer_series(self) -> dict[int, list[int]]:
-        """Each non-sink node's buffer level after every slot of the cycle."""
-        series: dict[int, list[int]] = {}
-        for u, points in self.buffer_changes.items():
-            levels: list[int] = []
-            ends = [slot for slot, _ in points[1:]] + [self.length]
-            for (start, level), end in zip(points, ends):
-                levels.extend([level] * (end - start))
-            series[u] = levels
-        return series
 
 
 @dataclass
@@ -184,7 +170,7 @@ def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
     """
     awake, max_buffer, spans = _node_counts(schedule, tree)
     starts = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
-    return SimTrace(starts, spans, _replay(schedule, tree), awake, schedule.length, max_buffer)
+    return SimTrace(starts, spans, _replay(schedule, tree), awake, max_buffer)
 
 
 def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:

@@ -40,8 +40,6 @@ class ConflictMap:
     window with one bit of its occupants' OR.
     """
 
-    variant: Variant
-    h: int
     masks: dict[int, int]
 
     def conflicts(self, u: int, v: int) -> bool:
@@ -69,7 +67,8 @@ def build_conflict_map(
     ALL_LINKS measures hop distance in the full graph; TREE_ONLY only walks
     parent/child links, so its relation is a subset of ALL_LINKS at equal h.
     The ball within k hops of u is u's ball within k-1 hops OR'ed with those
-    of its neighbours; after h rounds u's own bit is cleared.
+    of its neighbours; after h rounds, or the first round that changes no
+    ball (each then holds its whole component), u's own bit is cleared.
     """
     h = _integer(h, "h")
     if h < 1:
@@ -95,7 +94,9 @@ def build_conflict_map(
             for w in links:
                 ball |= prev[w]
             balls[u] = ball
-    return ConflictMap(variant, h, {u: ball & ~(1 << u) for u, ball in balls.items()})
+        if balls == prev:
+            break
+    return ConflictMap({u: ball & ~(1 << u) for u, ball in balls.items()})
 
 
 class Schedule:
@@ -149,11 +150,6 @@ class Schedule:
             active.update(starts.get(point, ()))
             if active:
                 yield point, next_point, tuple(sorted(active))
-
-    def slots(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Yield (slot, transmitters sorted by node id) for each occupied slot, in slot order."""
-        for start, stop, txs in self.runs():
-            yield from ((slot, txs) for slot in range(start, stop))
 
     def total_width(self, u: int) -> int:
         return sum(w for _, w in self.allocations.get(u, []))

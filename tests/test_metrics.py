@@ -40,8 +40,8 @@ def test_chain_replay_hand_trace(chain_run):
     t, s = chain_run
     trace = replay_schedule(s, t)
     assert trace.packet_arrivals == [(1, 0), (2, 2)]
-    assert trace.buffer_series[1] == [0, 1, 0]
-    assert trace.buffer_series[2] == [1, 0, 0]
+    assert trace.buffer_changes[1] == [(0, 0), (1, 1), (2, 0)]  # levels 0, 1, 0
+    assert trace.buffer_changes[2] == [(0, 1), (1, 0)]  # levels 1, 0, 0
     # a transmits, receives, transmits across slots 0-2: one awake interval
     assert trace.awake_intervals[1] == 1
     assert trace.awake_intervals[2] == 1
@@ -143,18 +143,17 @@ _SLOT_CASES = [
 ]
 
 
-def test_slots_match_per_slot_inversion():
-    for schedule, expected in _SLOT_CASES:
-        assert list(schedule.slots()) == expected
-        assert list(schedule.slots()) == list(_per_slot(schedule).items())
+def _expand_runs(schedule):
+    """`Schedule.runs()` expanded into (slot, transmitters) pairs, one per occupied slot."""
+    return [(slot, txs) for a, b, txs in schedule.runs() for slot in range(a, b)]
 
 
 def test_runs_expand_to_slots():
     assert list(Schedule(200_000, {1: [(0, 200_000)]}).runs()) == [(0, 200_000, (1,))]
-    for schedule, _ in _SLOT_CASES:
-        runs = list(schedule.runs())
-        assert [(s, t) for a, b, t in runs for s in range(a, b)] == list(schedule.slots())
-        assert all(a < b for a, b, _ in runs)
+    for schedule, expected in _SLOT_CASES:
+        assert _expand_runs(schedule) == expected
+        assert _expand_runs(schedule) == list(_per_slot(schedule).items())
+        assert all(a < b for a, b, _ in schedule.runs())
 
 
 def _reference_replay(schedule, tree):
@@ -185,6 +184,20 @@ def _reference_replay(schedule, tree):
             buffer_series[u].append(len(queues[u]))
     intervals = {u: sum(1 for s in awake[u] if s - 1 not in awake[u]) for u in tree.nodes()}
     return buffer_series, arrivals, intervals
+
+
+def _change_points(buffer_series, tree):
+    """The dense reference's per-slot levels as `SimTrace.buffer_changes` points.
+
+    Each node's first point is at slot 0 (its start level in a length-0
+    cycle); each later one marks a slot after which its level differs.
+    """
+    changes = {}
+    for u, levels in buffer_series.items():
+        points = [(0, levels[0] if levels else tree.gen_rate[u])]
+        points += [(slot, level) for slot, level in enumerate(levels) if slot and level != levels[slot - 1]]
+        changes[u] = points
+    return changes
 
 
 def _reference_metrics(reference, schedule, tree):
@@ -349,7 +362,9 @@ def _check_against_references(schedule, conflicts, tree):
             assert str(exc) == f"node {first.nodes[0]} has no packet to send in slot {first.slot}"
         return violations
     trace = replay_schedule(schedule, tree)
-    assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == expected
+    buffer_series, arrivals, intervals = expected
+    assert trace.buffer_changes == _change_points(buffer_series, tree)
+    assert (trace.packet_arrivals, trace.awake_intervals) == (arrivals, intervals)
     measures = _reference_metrics(expected, schedule, tree)
     assert schedule_metrics(schedule, tree) == measures
     assert compute_metrics(trace, schedule, tree) == measures
@@ -365,7 +380,7 @@ def test_event_replay_and_validation_match_dense_reference():
         cm = build_conflict_map(g, t, variant, h)
         good = run_trasa(t, cm, rng.choice((1, 2)))
         for s in [good] + _broken_schedules(rng, good, g, t, cm):
-            assert list(s.slots()) == list(_per_slot(s).items())
+            assert _expand_runs(s) == list(_per_slot(s).items())
             broken += bool(_check_against_references(s, cm, t))
     assert len(cases) >= 200 and broken > len(cases) * 3
 
@@ -529,16 +544,11 @@ def test_touching_intervals_are_one_awake_run():
     assert schedule_metrics(apart, t).total_switches == 4
 
 
-def test_validation_does_not_walk_slots(monkeypatch):
+def test_validation_does_not_walk_slots():
     g = chain_graph(2)
     t = build_spanning_tree(g, max_children=1, gen_rate={0: 0, 1: 10**6})
     cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
     s = Schedule(10**6, {1: [(0, 10**6)]})
-
-    def refuse(self):
-        raise AssertionError("validation walked the slots")
-
-    monkeypatch.setattr(Schedule, "slots", refuse)
     assert validate_schedule(s, cm, t).violations == []
     # a 3-line foreign file: two nodes interfere and run dry across a million slots
     g = generate_random_graph(6, (1.0, 1.0), 0.9, seed=3)
@@ -611,12 +621,12 @@ def test_replay_records_work_per_transmission():
     g, t, _ = sample_instance(config, 500, 0)
     s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
     trace = replay_schedule(s, t)
-    sends = sum(len(txs) for _, txs in s.slots())
+    sends = sum((b - a) * len(txs) for a, b, txs in s.runs())
     receives = sends - len(trace.packet_arrivals)  # every packet not at the sink lands in a buffer
     points = sum(len(p) for p in trace.buffer_changes.values())
     assert points <= sends + receives + g.n
     assert points * 20 < s.length * (g.n - 1)  # far below one sample per slot and node
-    assert compute_metrics(trace, s, t).max_buffer == max(max(lv) for lv in trace.buffer_series.values())
+    assert compute_metrics(trace, s, t).max_buffer == max(lv for p in trace.buffer_changes.values() for _, lv in p)
 
 
 # --- the run-level packet replay ------------------------------------------------
@@ -747,7 +757,9 @@ def test_level_entries_are_per_node_segments_not_global_runs():
 def _check_replay(schedule, tree, arrivals):
     trace = replay_schedule(schedule, tree)
     assert trace.packet_arrivals == arrivals
-    assert (trace.buffer_series, trace.packet_arrivals, trace.awake_intervals) == _reference_replay(schedule, tree)
+    buffer_series, arrivals, intervals = _reference_replay(schedule, tree)
+    assert trace.buffer_changes == _change_points(buffer_series, tree)
+    assert (trace.packet_arrivals, trace.awake_intervals) == (arrivals, intervals)
     return trace
 
 

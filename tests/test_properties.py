@@ -268,9 +268,10 @@ def test_parse_graph_rejects_or_returns_a_valid_graph(text):
 def test_parse_schedule_rejects_or_returns_a_valid_schedule(text):
     schedule = _parse_or_reject(parse_schedule, text)
     if schedule is not None:
-        occupied = sum(len(txs) for _, txs in schedule.slots())
+        runs = list(schedule.runs())
+        occupied = sum((b - a) * len(txs) for a, b, txs in runs)
         assert occupied == sum(schedule.total_width(u) for u in schedule.allocations)
-        assert all(0 <= slot < schedule.length for slot, _ in schedule.slots())
+        assert all(0 <= a < b <= schedule.length for a, b, _ in runs)
 
 
 @given(

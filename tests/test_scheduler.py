@@ -164,13 +164,42 @@ def test_bitmask_conflict_map_matches_per_node_bfs():
             Variant.TREE_ONLY: _tree_links(t),
         }
         for variant, adjacency in adjacencies.items():
-            for h in (1, 2, 3, 4):
+            for h in (1, 2, 3, 4, 10**9):  # 10**9: every ball holds its whole component
                 cm = build_conflict_map(g, t, variant, h)
                 expected = _reference_relation(adjacency, h)
                 assert {u: cm.conflicting(u) for u in range(g.n)} == expected
                 for u, v in itertools.permutations(range(g.n), 2):
                     assert cm.conflicts(u, v) == (v in expected[u])
                     assert cm.masks[u] >> v & 1 == cm.masks[v] >> u & 1  # symmetric
+
+
+def _traced_build(graph, tree, variant, h):
+    """`build_conflict_map(graph, tree, variant, h)` and the number of Python lines it ran."""
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(count_lines)
+    try:
+        cm = build_conflict_map(graph, tree, variant, h)
+    finally:
+        sys.settrace(previous)
+    return cm, lines
+
+
+def test_conflict_map_stops_once_no_ball_grows():
+    # a 3-hop chain: every ball holds the whole graph after 3 rounds, so a
+    # radius of 10**5 must not run 10**5 rounds (3.2 M lines)
+    g = chain_graph(4)
+    t = build_spanning_tree(g, max_children=3)
+    for variant in Variant:
+        cm, lines = _traced_build(g, t, variant, 10**5)
+        assert cm.masks == build_conflict_map(g, t, variant, 3).masks
+        assert lines < 500
 
 
 def _reference_run_trasa(tree, conflicts, heuristic):
@@ -229,12 +258,12 @@ def test_sort_once_bitmask_trasa_matches_resorting_loop():
     # walked after its child sends the child's packets in the same window
     for heuristic, rate in itertools.product((1, 2), (1, 2, "mixed")):
         g, t = random_tree(rng, (2, 40), rate)
-        _assert_matches_reference(t, ConflictMap(Variant.ALL_LINKS, 1, {}), heuristic, heuristic, rate, g.n)
+        _assert_matches_reference(t, ConflictMap({}), heuristic, heuristic, rate, g.n)
 
 
 def test_trasa_without_conflicts_reads_live_demand():
     t = build_spanning_tree(chain_graph(4), max_children=3)
-    free = ConflictMap(Variant.ALL_LINKS, 1, {})
+    free = ConflictMap({})
     # leaf first: 3 sends 1, then 2 sends its own and 3's, then 1 sends all three
     s = run_trasa(t, free, 2)
     assert s.length == 3
@@ -299,7 +328,7 @@ def test_trasa_chain_hand_trace(chain):
     s = run_trasa(t, cm, 1)
     assert s.length == 3
     assert s.allocations == {1: [(0, 1), (2, 1)], 2: [(1, 1)]}
-    assert dict(s.slots()) == {0: (1,), 1: (2,), 2: (1,)}
+    assert list(s.runs()) == [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (1,))]
 
 
 def test_trasa_chain_heuristic_two(chain):
@@ -316,8 +345,7 @@ def test_trasa_star_three_children():
         cm = build_conflict_map(g, t, variant, 2)
         s = run_trasa(t, cm, 1)
         assert s.length == 3
-        occupied = dict(s.slots())
-        assert [occupied[i] for i in range(3)] == [(1,), (2,), (3,)]
+        assert list(s.runs()) == [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (3,))]
 
 
 def test_trasa_four_node_chain_h1_hand_trace():
@@ -410,7 +438,7 @@ def test_slot_walk_memory_does_not_grow_with_the_cycle_length():
     tracemalloc.start()
     try:
         schedule = parse_schedule("schedule 200000\n1 0:200000\n")
-        walked = sum(1 for _ in schedule.slots())
+        walked = sum(b - a for a, b, _ in schedule.runs())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
