@@ -148,10 +148,15 @@ def _expand_runs(schedule):
     return [(slot, txs) for a, b, txs in schedule.runs() for slot in range(a, b)]
 
 
-def test_runs_expand_to_slots():
-    assert list(Schedule(200_000, {1: [(0, 200_000)]}).runs()) == [(0, 200_000, (1,))]
+def test_slots_match_per_slot_inversion():
     for schedule, expected in _SLOT_CASES:
         assert _expand_runs(schedule) == expected
+        assert list(_per_slot(schedule).items()) == expected
+
+
+def test_runs_expand_to_slots():
+    assert list(Schedule(200_000, {1: [(0, 200_000)]}).runs()) == [(0, 200_000, (1,))]
+    for schedule, _ in _SLOT_CASES:
         assert _expand_runs(schedule) == list(_per_slot(schedule).items())
         assert all(a < b for a, b, _ in schedule.runs())
 
