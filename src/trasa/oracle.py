@@ -4,11 +4,13 @@ constructive mappings between precedence colorings and schedules.
 The exact search walks buffer-vector states best-first (A*): each slot fires
 a maximal independent set of pending transmitters, and an admissible lower
 bound on the slots left orders and prunes the frontier. A state is the tuple
-of buffers in `tree.non_sink_nodes()` order. The maximal sets depend only on
-which nodes hold packets, so each search enumerates them once per distinct
-eligible set, with Bron–Kerbosch on the complement of the conflict graph,
-and keeps them as buffer deltas. It is meant for tiny instances only
-(`MAX_ORACLE_NODES`).
+of buffers in `tree.non_sink_nodes()` order, and buffer i is bit i of a
+mask. Once per search the conflict relation becomes one compatibility mask
+(the buffers that may share a slot) and one parent index per buffer. The
+maximal sets depend only on which buffers hold packets, so the search keys
+them by that int mask and enumerates them once per distinct eligible mask,
+with Bron–Kerbosch on the compatibility masks, keeping each as a buffer
+delta. It is meant for tiny instances only (`MAX_ORACLE_NODES`).
 
 The bound is the conflict-clique bound. A node's funnel count f(u) is the
 number of packets at or below it; u must still send each of them once. Two
@@ -17,21 +19,25 @@ the sum of f(u) over K slots remain. The bound is the largest such sum over
 the maximal cliques on the non-sink nodes, which Bron–Kerbosch enumerates
 once per search. A packet buffered at v passes every node of path(v), v and
 its ancestors below the sink, so the sum over K equals the sum of b_v times
-|K ∩ path(v)| over the buffers b_v: one dot product per clique. Every node
-lies in some maximal clique, and sink children that pairwise conflict lie in
-one together, so the bound is never below a sink child's branch sum, nor
-below the whole buffer sum in that case. A sender's own count drops by one
-and no other count drops, and at most one member of a clique sends per slot,
-so the bound drops by at most one per slot; the first goal popped is
-therefore optimal. Among states with equal slots + bound the heap pops the
-deepest first, so the search dives towards a goal instead of widening every
-state of that estimate first.
+|K ∩ path(v)| over the buffers b_v: one dot product per clique, taken once
+per popped state. A packet leaving v for its parent lowers the sum over K by
+one if v is in K and leaves it unchanged otherwise, so each move keeps its
+change to every clique sum next to its delta, and a push's estimate is the
+popped sums plus those changes, at their largest. Every node lies in some
+maximal clique, and sink children that pairwise conflict lie in one
+together, so the bound is never below a sink child's branch sum, nor below
+the whole buffer sum in that case. A sender's own count drops by one and no
+other count drops, and at most one member of a clique sends per slot, so
+the bound drops by at most one per slot; the first goal popped is therefore
+optimal. Among states with equal slots + bound the heap pops the deepest
+first, so the search dives towards a goal instead of widening every state
+of that estimate first.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, mul
@@ -58,7 +64,7 @@ class Coloring:
     colors: dict[int, int] = field(default_factory=dict)
 
 
-def _maximal_cliques(candidates: int, neighbours: dict[int, int]) -> list[int]:
+def _maximal_cliques(candidates: int, neighbours: Mapping[int, int] | Sequence[int]) -> list[int]:
     """Every maximal clique of the graph induced on the candidates mask, each as a mask.
 
     Bron–Kerbosch with pivoting: neighbours[v] is v's neighbour mask, given
@@ -75,37 +81,44 @@ def _maximal_cliques(candidates: int, neighbours: dict[int, int]) -> list[int]:
             return
         # any maximal extension holds the pivot or one of its non-neighbours,
         # so branching on those alone misses none; the busiest pivot leaves the fewest
-        pivot = max(_bits(pool | excluded), key=lambda u: (pool & neighbours[u]).bit_count())
-        for v in _bits(pool & ~neighbours[pivot]):
-            expand(clique | 1 << v, pool & neighbours[v], excluded & neighbours[v])
-            pool &= ~(1 << v)
-            excluded |= 1 << v
+        pivot, most, rest = 0, -1, pool | excluded
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (pool & neighbours[u]).bit_count()
+            if count > most:
+                pivot, most = u, count
+            rest ^= low
+        branches = pool & ~neighbours[pivot]
+        while branches:
+            low = branches & -branches
+            v = low.bit_length() - 1
+            expand(clique | low, pool & neighbours[v], excluded & neighbours[v])
+            pool ^= low
+            excluded |= low
+            branches ^= low
 
     if candidates:
         expand(0, candidates, 0)
     return cliques
 
 
-def _maximal_independent_sets(eligible: Sequence[int], conflicts: ConflictMap) -> list[tuple[int, ...]]:
-    """Maximal conflict-free subsets of eligible, each sorted, in unspecified order.
+def _maximal_independent_sets(eligible: int, compatible: Sequence[int]) -> list[int]:
+    """Maximal sets of pairwise compatible buffer indices within the eligible mask, each as a mask.
 
-    They are the maximal cliques of the complement of the conflict graph on
-    the eligible nodes.
+    compatible[i] is the mask of the indices that may share a slot with i,
+    without i's own bit; bits outside eligible are ignored. The sets are the
+    maximal cliques of that compatibility graph on eligible (the complement
+    of the conflict graph), in unspecified order.
     """
-    everyone = sum(1 << v for v in eligible)
-    compatible = {v: everyone & ~conflicts.masks.get(v, 0) & ~(1 << v) for v in eligible}
-    return [tuple(_bits(s)) for s in _maximal_cliques(everyone, compatible)]
+    return _maximal_cliques(eligible, compatible)
 
 
-def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
-    """The conflict-clique lower bound, as a function of the buffers.
+def _clique_weights(tree: SpanningTree, conflicts: ConflictMap) -> list[list[int]]:
+    """Per maximal clique K of the conflict graph on the non-sink nodes, |K ∩ path(v)| for each v.
 
-    Buffers are given in `tree.non_sink_nodes()` order. The bound is the
-    largest funnel sum over the maximal cliques of the conflict graph on the
-    non-sink nodes, computed per clique K as the buffers weighted by the
-    number of members of K on each node's path to the sink; 0 with no node.
-    At the tree's own rates (`gen_rate`) it is a lower bound on the cycle
-    length.
+    The weights follow `tree.non_sink_nodes()` order, and path(v) is v and
+    its ancestors below the sink; no node gives no clique.
     """
     order = tree.non_sink_nodes()
     nodes = sum(1 << u for u in order)
@@ -113,7 +126,19 @@ def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Seque
     above = {tree.sink: 0}  # v and its ancestors below the sink, as a mask
     for v in sorted(order, key=tree.depth.__getitem__):
         above[v] = 1 << v | above[tree.parent[v]]
-    weights = [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques(nodes, neighbours)]
+    return [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques(nodes, neighbours)]
+
+
+def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
+    """The conflict-clique lower bound, as a function of the buffers.
+
+    Buffers are given in `tree.non_sink_nodes()` order. The bound is the
+    largest funnel sum over the maximal cliques of the conflict graph on the
+    non-sink nodes, computed per clique as the buffers weighted by
+    `_clique_weights`; 0 with no node. At the tree's own rates (`gen_rate`)
+    it is a lower bound on the cycle length.
+    """
+    weights = _clique_weights(tree, conflicts)
     return lambda buffers: max((sum(map(mul, buffers, w)) for w in weights), default=0)
 
 
@@ -122,23 +147,30 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
 
     Rejects instances with more than `MAX_ORACLE_NODES` nodes. A best-first
     search over buffer tuples (see the module docstring): each slot fires
-    one maximal independent set of the nodes holding packets, enumerated by
-    Bron–Kerbosch once per distinct eligible set. The estimate is slots +
-    `_clique_bound`, which never overestimates the slots left and drops by
-    at most one per slot, so the first goal popped is optimal; equal
-    estimates pop the deepest state first. A move that drives a buffer below
-    zero raises AssertionError.
+    one maximal independent set of the buffers holding packets, enumerated
+    by Bron–Kerbosch once per distinct eligible mask. The estimate is slots +
+    the clique bound of `_clique_bound`, which never overestimates the slots
+    left and drops by at most one per slot, so the first goal popped is
+    optimal; equal estimates pop the deepest state first. A move whose
+    sender holds no packet raises AssertionError.
     """
     if tree.n > MAX_ORACLE_NODES:
         raise TooLarge(f"exact search is limited to {MAX_ORACLE_NODES} nodes, got {tree.n}")
 
     order = tree.non_sink_nodes()
     index = {u: i for i, u in enumerate(order)}
-    bound = _clique_bound(tree, conflicts)
-    moves_by_eligible: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    bits = [1 << i for i in range(len(order))]
+    # per buffer: the buffers it may share a slot with, and its parent's buffer (None for the sink)
+    compatible = []
+    for u in order:
+        conflicting = conflicts.masks.get(u, 0) | 1 << u
+        compatible.append(sum(b for b, v in zip(bits, order) if not conflicting >> v & 1))
+    parent = [index.get(tree.parent[u]) for u in order]
+    weights = _clique_weights(tree, conflicts)
+    moves_by_eligible: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
 
     start = tuple(tree.gen_rate[u] for u in order)
-    frontier = [(bound(start), 0, start)]
+    frontier = [(0, 0, start)]  # the only entry, so its estimate orders nothing
     seen = {start: 0}
     while frontier:
         _, neg_slots, state = heapq.heappop(frontier)
@@ -147,27 +179,27 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
             return slots
         if slots > seen.get(state, slots):
             continue
-        eligible = tuple(u for u, packets in zip(order, state) if packets)
+        eligible = sum(b for b, packets in zip(bits, state) if packets)
         moves = moves_by_eligible.get(eligible)
         if moves is None:
-            moves = []
-            for s in _maximal_independent_sets(eligible, conflicts):
+            moves = moves_by_eligible[eligible] = []
+            for s in _maximal_independent_sets(eligible, compatible):
+                if s & ~eligible:
+                    raise AssertionError(f"a move drives a buffer below zero from state {state}")
                 # each transmitter's packet leaves its buffer for its parent's (none for the sink)
                 delta = [0] * len(order)
-                for u in s:
-                    delta[index[u]] -= 1
-                    if tree.parent[u] != tree.sink:
-                        delta[index[tree.parent[u]]] += 1
-                moves.append(tuple(delta))
-            moves_by_eligible[eligible] = moves
+                for i in _bits(s):
+                    delta[i] -= 1
+                    if parent[i] is not None:
+                        delta[parent[i]] += 1
+                moves.append((tuple(delta), [sum(map(mul, delta, w)) for w in weights]))
+        sums = [sum(map(mul, state, w)) for w in weights]  # the clique sums, changed by each move's dsums
         cost = slots + 1
-        for delta in moves:
+        for delta, dsums in moves:
             nxt = tuple(map(add, state, delta))
-            if min(nxt) < 0:
-                raise AssertionError(f"a move drives a buffer below zero from state {state}")
             if cost < seen.get(nxt, cost + 1):
                 seen[nxt] = cost
-                heapq.heappush(frontier, (cost + bound(nxt), -cost, nxt))
+                heapq.heappush(frontier, (cost + max(map(add, sums, dsums)), -cost, nxt))
     raise AssertionError("search space exhausted without delivering all packets")
 
 
@@ -216,12 +248,14 @@ def coloring_to_schedule(
     if not validate_coloring(coloring, conflicts, tree):
         raise InvalidColoring("coloring fails the color, tree, h-hop or parent-order invariant")
 
+    classes: dict[int, list[int]] = {}  # the nodes with traffic of each color, by id
+    for u in sorted(colors):
+        if demands[u] > 0:
+            classes.setdefault(colors[u], []).append(u)
     allocations: dict[int, list[tuple[int, int]]] = {}
     cursor = 0
-    for color in sorted(set(colors.values())):
-        members = [u for u in sorted(colors) if colors[u] == color and demands[u] > 0]
-        if not members:
-            continue
+    for color in sorted(classes):
+        members = classes[color]
         region = max(demands[u] for u in members)
         for u in members:
             allocations[u] = [(cursor, demands[u])]

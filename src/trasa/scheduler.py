@@ -113,6 +113,8 @@ class Schedule:
         self.length = length
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
+            if type(u) is not int:  # exact ints, the common case, are taken as is
+                u = _integer(u, "node id")
             ivs = [
                 (s, w) if type(s) is int and type(w) is int  # the common case, taken as is
                 else (_integer(s, "interval start"), _integer(w, "interval width"))

@@ -44,7 +44,10 @@ class NetworkGraph:
         self.area = _area(area)
         if len(positions) < 1:
             raise ValueError("need at least one node")
-        self.positions = tuple((float(x), float(y)) for x, y in positions)
+        try:
+            self.positions = tuple((float(x), float(y)) for x, y in positions)
+        except (TypeError, ValueError):
+            raise ValueError("node positions must be pairs of real numbers") from None
         if not all(math.isfinite(c) for xy in self.positions for c in xy):
             raise ValueError("node positions must be finite")
         self.range_r = float(range_r)

@@ -8,13 +8,12 @@ import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
 from trasa.tree import Disconnected, Infeasible, build_spanning_tree, subtree_demand
-from trasa.scheduler import Variant, build_conflict_map, run_trasa, validate_schedule
+from trasa.scheduler import Variant, _bits, build_conflict_map, run_trasa, validate_schedule
 from trasa import oracle
 from trasa.oracle import (
     Coloring,
     InvalidColoring,
     TooLarge,
-    _maximal_independent_sets,
     coloring_to_schedule,
     optimal_schedule_length,
     schedule_to_coloring,
@@ -113,6 +112,19 @@ def test_search_matches_unpruned_brute_force():
         assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
 
 
+def _node_maximal_sets(eligible, conflicts) -> list[tuple[int, ...]]:
+    """`oracle._maximal_independent_sets` on node ids: the maximal conflict-free subsets of eligible, each sorted.
+
+    Each node id is its own index, and every node of the conflict map has
+    one, so the compatibility masks hold bits outside the eligible mask too.
+    The enumerator is looked up on each call, so a patched one is used.
+    """
+    top = max([*conflicts.masks, *eligible], default=-1) + 1
+    everyone = (1 << top) - 1
+    compatible = [everyone & ~conflicts.masks.get(u, 0) & ~(1 << u) for u in range(top)]
+    return [tuple(_bits(s)) for s in oracle._maximal_independent_sets(sum(1 << u for u in eligible), compatible)]
+
+
 def _per_state_optimal_schedule_length(tree, conflicts) -> int:
     """The best-first search enumerating maximal sets afresh for every expanded state.
 
@@ -151,7 +163,7 @@ def _per_state_optimal_schedule_length(tree, conflicts) -> int:
         if slots > seen.get(buffers, slots):
             continue
         eligible = [u for u in order if buffers[index[u]] > 0]
-        for transmitters in oracle._maximal_independent_sets(eligible, conflicts):
+        for transmitters in _node_maximal_sets(eligible, conflicts):
             nxt = list(buffers)
             for u in transmitters:
                 nxt[index[u]] -= 1
@@ -262,6 +274,25 @@ def test_search_matches_per_state_reference_with_fewer_pushes(monkeypatch):
     assert 4 * library_total <= reference_total
 
 
+def test_search_matches_per_state_reference_past_the_size_guard(monkeypatch):
+    """16 instances with the guard raised to 12 nodes: n 9-12, both variants, h 1-2."""
+    monkeypatch.setattr(oracle, "MAX_ORACLE_NODES", 12)
+    rng = random.Random(1212)
+    for n, variant, h in itertools.product(range(9, 13), Variant, (1, 2)):
+        while True:
+            g = generate_random_graph(n, (1.0, 1.0), 0.5, seed=rng.randrange(2**32))
+            try:
+                t = build_spanning_tree(g, max_children=3)
+                break
+            except (Disconnected, Infeasible):
+                continue
+        cm = build_conflict_map(g, t, variant, h)
+        optimum, reference = _record_pushes(monkeypatch, _per_state_optimal_schedule_length, t, cm)
+        result, library = _record_pushes(monkeypatch, optimal_schedule_length, t, cm)
+        assert result == optimum
+        assert len(library) <= len(reference)
+
+
 def test_clique_bound_lies_between_branch_sum_and_optimum():
     exact = sum(_check_start_bound(t, cm, _brute_force_minimum(t, cm)) for t, cm in _small_instances())
     assert exact >= 1  # an inadmissible +1 cannot hide behind slack everywhere
@@ -274,16 +305,29 @@ def test_maximal_sets_enumerated_once_per_eligible_set(monkeypatch):
     calls = []
     original = oracle._maximal_independent_sets
 
-    def counting(eligible, conflicts):
-        calls.append(frozenset(eligible))
-        return original(eligible, conflicts)
+    def counting(eligible, compatible):
+        calls.append(eligible)
+        return original(eligible, compatible)
 
     monkeypatch.setattr(oracle, "_maximal_independent_sets", counting)
     optimum = _per_state_optimal_schedule_length(t, cm)
     per_state = len(calls)  # one call per expanded state
     calls.clear()
-    assert optimal_schedule_length(t, cm) == optimum
-    assert len(set(calls)) == len(calls)  # no eligible set twice
+    popped = []
+    original_pop = heapq.heappop
+
+    def pop(heap):
+        popped.append(original_pop(heap))
+        return popped[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(heapq, "heappop", pop)
+        assert optimal_schedule_length(t, cm) == optimum
+    # a stale entry pops after its state's cheaper one, so the popped states
+    # holding packets cover exactly the eligible masks of the expanded states
+    expanded = {sum(1 << i for i, packets in enumerate(state) if packets) for _, _, state in popped if any(state)}
+    assert calls and len(set(calls)) == len(calls)  # some call, and no eligible mask twice
+    assert set(calls) == expanded  # one call per distinct eligible mask
     assert len(calls) <= 2 ** (t.n - 1) and len(calls) < per_state
 
 
@@ -292,12 +336,13 @@ def test_move_into_an_empty_buffer_fails_fast(monkeypatch):
     t = build_spanning_tree(g, max_children=3)
     cm = build_conflict_map(g, t, Variant.ALL_LINKS, 1)
     assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm) == 5
+    order = t.non_sink_nodes()
     original = oracle._maximal_independent_sets
 
-    def with_an_empty_sender(eligible, conflicts):
-        empty = min(set(t.non_sink_nodes()) - set(eligible), default=None)
-        sets = original(eligible, conflicts)
-        return sets if empty is None else [tuple(sorted(s + (empty,))) for s in sets]
+    def with_an_empty_sender(eligible, compatible):
+        empty = min(set(order) - {order[i] for i in _bits(eligible)}, default=None)
+        sets = original(eligible, compatible)
+        return sets if empty is None else [s | 1 << order.index(empty) for s in sets]
 
     monkeypatch.setattr(oracle, "_maximal_independent_sets", with_an_empty_sender)
     with pytest.raises(AssertionError, match="below zero"):
@@ -351,7 +396,7 @@ def test_mask_enumeration_matches_pairwise_maximal_sets():
         eligible = [u for u in t.non_sink_nodes() if rng.random() < 0.8]
         if checked % 3 == 0:
             rng.shuffle(eligible)  # the order of the input changes nothing
-        assert sorted(_maximal_independent_sets(eligible, cm)) == sorted(_reference_maximal_sets(eligible, cm))
+        assert sorted(_node_maximal_sets(eligible, cm)) == sorted(_reference_maximal_sets(eligible, cm))
         checked += 1
 
 

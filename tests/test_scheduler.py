@@ -463,6 +463,19 @@ def test_schedule_rejects_overlapping_intervals():
     assert Schedule(np.int64(3), {1: [(np.int32(0), np.int64(2))]}).allocations == {1: [(0, 2)]}
 
 
+def test_schedule_node_ids_must_be_integers(chain):
+    _, t, cm = chain
+    # unchecked, a float id made validate_schedule raise TypeError (1 << 1.0), True was
+    # validated as node 1, and a str id next to int ids made validation, replay and
+    # metrics raise TypeError from sorted
+    for bad in ({1.0: [(0, 1)]}, {True: [(0, 1)]}, {np.True_: [(0, 1)]}, {"2": [(0, 1)], 1: [(1, 2)]}):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            Schedule(3, bad)
+    s = Schedule(3, {np.int64(2): [(0, 1)], 1: [(1, 2)]})
+    assert s.allocations == {2: [(0, 1)], 1: [(1, 2)]} and all(type(u) is int for u in s.allocations)
+    assert validate_schedule(s, cm, t).ok
+
+
 def test_schedule_dump_and_parse_round_trip(chain):
     _, t, cm = chain
     s = run_trasa(t, cm, 1)

@@ -243,6 +243,13 @@ def test_non_finite_geometry_is_rejected():
             parse_graph(f"graph 1 0.4 1 1 0\n0 {coords}\n")
 
 
+def test_malformed_positions_are_value_errors():
+    # unchecked, each raised TypeError from float() or from unpacking the pair
+    for positions in ([(0, 0), 1], [(0, 0), (None, 0)], [(0, 0), (1j, 0)], [(0, 0), (1, 2, 3)], [(0, 0), ("x", 0)]):
+        with pytest.raises(ValueError, match="positions"):
+            NetworkGraph(positions, 0.4, (1.0, 1.0))
+
+
 def test_area_is_two_sides_and_range_a_real_number():
     # unchecked, area (1.0,) raised IndexError in generate_random_graph, (1.0, 1.0, 5.0) was
     # cut to its first two sides, and a range or side given as a string raised TypeError
