@@ -5,8 +5,8 @@ The exact search walks buffer-vector states best-first (A*): each slot fires
 a maximal independent set of pending transmitters, and an admissible lower
 bound on the slots left orders and prunes the frontier. A state is the tuple
 of buffers in `tree.non_sink_nodes()` order, and buffer i is bit i of a
-mask. Once per search the conflict relation becomes one compatibility mask
-(the buffers that may share a slot) and one parent index per buffer. The
+mask. Once per search the conflict masks in that order give one compatibility
+mask (the buffers that may share a slot) and one parent index per buffer. The
 maximal sets depend only on which buffers hold packets, so the search keys
 them by that int mask and enumerates them once per distinct eligible mask,
 with Bron–Kerbosch on the compatibility masks, keeping each as a buffer
@@ -114,19 +114,18 @@ def _maximal_independent_sets(eligible: int, compatible: Sequence[int]) -> list[
     return _maximal_cliques(eligible, compatible)
 
 
-def _clique_weights(tree: SpanningTree, conflicts: ConflictMap) -> list[list[int]]:
+def _clique_weights(tree: SpanningTree, masks: Sequence[int]) -> list[list[int]]:
     """Per maximal clique K of the conflict graph on the non-sink nodes, |K ∩ path(v)| for each v.
 
-    The weights follow `tree.non_sink_nodes()` order, and path(v) is v and
-    its ancestors below the sink; no node gives no clique.
+    masks and the weights follow `tree.non_sink_nodes()` order, as
+    `ConflictMap.in_order` gives them, and path(v) is v and its ancestors
+    below the sink; no node gives no clique.
     """
     order = tree.non_sink_nodes()
-    nodes = sum(1 << u for u in order)
-    neighbours = {u: conflicts.masks.get(u, 0) & nodes for u in order}
-    above = {tree.sink: 0}  # v and its ancestors below the sink, as a mask
-    for v in sorted(order, key=tree.depth.__getitem__):
-        above[v] = 1 << v | above[tree.parent[v]]
-    return [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques(nodes, neighbours)]
+    above = {tree.sink: 0}  # v and its ancestors below the sink, as a mask of indices
+    for i, v in sorted(enumerate(order), key=lambda iv: tree.depth[iv[1]]):
+        above[v] = 1 << i | above[tree.parent[v]]
+    return [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques((1 << len(order)) - 1, masks)]
 
 
 def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
@@ -138,7 +137,7 @@ def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Seque
     `_clique_weights`; 0 with no node. At the tree's own rates (`gen_rate`)
     it is a lower bound on the cycle length.
     """
-    weights = _clique_weights(tree, conflicts)
+    weights = _clique_weights(tree, conflicts.in_order(tree.non_sink_nodes()))
     return lambda buffers: max((sum(map(mul, buffers, w)) for w in weights), default=0)
 
 
@@ -160,13 +159,12 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     order = tree.non_sink_nodes()
     index = {u: i for i, u in enumerate(order)}
     bits = [1 << i for i in range(len(order))]
+    masks = conflicts.in_order(order)
+    everyone = (1 << len(order)) - 1
     # per buffer: the buffers it may share a slot with, and its parent's buffer (None for the sink)
-    compatible = []
-    for u in order:
-        conflicting = conflicts.masks.get(u, 0) | 1 << u
-        compatible.append(sum(b for b, v in zip(bits, order) if not conflicting >> v & 1))
+    compatible = [everyone & ~(mask | 1 << i) for i, mask in enumerate(masks)]
     parent = [index.get(tree.parent[u]) for u in order]
-    weights = _clique_weights(tree, conflicts)
+    weights = _clique_weights(tree, masks)
     moves_by_eligible: dict[int, list[tuple[tuple[int, ...], list[int]]]] = {}
 
     start = tuple(tree.gen_rate[u] for u in order)

@@ -6,18 +6,19 @@ into the same window, so a slot is only appended to the cycle when pending
 nodes cannot share the last one. Demand moves to the parent the moment a
 node is scheduled, which is what makes the allocation traffic-proportional.
 
-`run_trasa` sorts the nodes once by priority and keeps the pending ones as
-two int bitmasks, one by priority rank (the walk order) and one by node id
-(the conflict masks' space). A window closes as soon as no node of its
+`run_trasa` sorts the nodes once by priority, takes the conflict masks in
+that order (bit i for the i-th node) and keeps the pending nodes as one int
+bitmask in the same order. A window closes as soon as no node of its
 snapshot left to walk can join, so its cost follows the allocations it
 makes, not the number of pending nodes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .topology import NetworkGraph
 from .tree import SpanningTree, _integer, subtree_demand
@@ -34,13 +35,43 @@ class Variant(Enum):
 class ConflictMap:
     """Symmetric, irreflexive conflict relation: nodes within 1..h hops interfere.
 
-    `masks[u]` has bit v set iff u and v conflict, so node ids are
-    non-negative ints. The masks are symmetric (v's bit in u's mask iff
-    u's bit in v's mask), so `run_trasa` tests a node against a whole
-    window with one bit of its occupants' OR.
+    `links[u]` holds u's neighbours (symmetric, each one a key too), so a
+    relation given by hand is its own links at h=1. `masks[u]`, built on
+    first read, has bit v set iff u and v conflict, so node ids are
+    non-negative ints; `in_order(order)` sets bit i for `order[i]` instead.
     """
 
-    masks: dict[int, int]
+    links: dict[int, Collection[int]]
+    h: int
+
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        balls = self._balls({u: 1 << u for u in self.links})
+        return {u: ball & ~(1 << u) for u, ball in balls.items()}
+
+    def in_order(self, order: Sequence[int]) -> list[int]:
+        """Per node of order, the mask of the nodes of order it conflicts with, bit i for `order[i]`."""
+        balls = self._balls({u: 1 << i for i, u in enumerate(order)})
+        return [balls.get(u, 0) & ~(1 << i) for i, u in enumerate(order)]
+
+    def _balls(self, label: dict[int, int]) -> dict[int, int]:
+        """Each node's ball within h hops, as the OR of its members' labels.
+
+        Unlabelled nodes start at 0 but still pass their neighbours' bits on;
+        the rounds stop after h, or at the first that changes no ball.
+        """
+        balls = {u: label.get(u, 0) for u in self.links}
+        for _ in range(self.h):
+            prev = balls
+            balls = {}
+            for u, near in self.links.items():
+                ball = prev[u]
+                for w in near:
+                    ball |= prev[w]
+                balls[u] = ball
+            if balls == prev:
+                break
+        return balls
 
     def conflicts(self, u: int, v: int) -> bool:
         return u != v and v >= 0 and self.masks.get(u, 0) >> v & 1 == 1
@@ -62,41 +93,23 @@ def _bits(mask: int) -> list[int]:
 def build_conflict_map(
     graph: NetworkGraph, tree: SpanningTree, variant: Variant, h: int
 ) -> ConflictMap:
-    """Compute the h-hop interference relation over all node pairs.
+    """The h-hop interference relation over all node pairs.
 
     ALL_LINKS measures hop distance in the full graph; TREE_ONLY only walks
     parent/child links, so its relation is a subset of ALL_LINKS at equal h.
-    The ball within k hops of u is u's ball within k-1 hops OR'ed with those
-    of its neighbours; after h rounds, or the first round that changes no
-    ball (each then holds its whole component), u's own bit is cleared.
     """
     h = _integer(h, "h")
     if h < 1:
         raise ValueError("h must be >= 1")
     if variant is Variant.ALL_LINKS:
-        adjacency = dict(enumerate(graph._adjacency))
+        links = dict(enumerate(graph._adjacency))
     elif variant is Variant.TREE_ONLY:
-        adjacency = {}
-        for u in tree.nodes():
-            links = set(tree.children.get(u, []))
-            if u != tree.sink:
-                links.add(tree.parent[u])
-            adjacency[u] = links
+        links = {u: set(tree.children.get(u, ())) for u in tree.nodes()}
+        for u in tree.non_sink_nodes():
+            links[u].add(tree.parent[u])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-
-    balls = {u: 1 << u for u in adjacency}
-    for _ in range(h):
-        prev = balls
-        balls = {}
-        for u, links in adjacency.items():
-            ball = prev[u]
-            for w in links:
-                ball |= prev[w]
-            balls[u] = ball
-        if balls == prev:
-            break
-    return ConflictMap({u: ball & ~(1 << u) for u, ball in balls.items()})
+    return ConflictMap(links, h)
 
 
 class Schedule:
@@ -199,16 +212,14 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     snapshot does not join the running walk).
 
     The priority key is static, so the nodes that ever carry demand are
-    sorted once into `order`. `pending` has bit i set when `order[i]` holds
-    demand and `pend_ids` bit u when node u does; the sink has no bit. The
-    snapshot is `pending` when the window opens. `open_ids` holds the
-    snapshot's nodes not yet allocated in this window, so the window closes
-    once `open_ids & ~blocked` is empty: no node left in the walk can join.
+    sorted once into `order`, and bit i of `pending` (the nodes with demand;
+    the sink has no bit) and of the conflict masks is `order[i]`. The walk
+    starts as `pending` and drops each allocated node and every node it
+    conflicts with, so a window closes once no node left in it can join.
     """
     heuristic = _check_heuristic(heuristic)
     parent = tree.parent
     sink = tree.sink
-    masks = conflicts.masks
     remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
     remaining[sink] = 0
     allocations: dict[int, list[tuple[int, int]]] = {u: [] for u in tree.non_sink_nodes()}
@@ -216,41 +227,29 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
         (u for u in allocations if subtree_demand(tree, u) > 0),
         key=lambda u: node_priority(tree, u, heuristic),
     )
+    masks = conflicts.in_order(order)
     rank_bit = {u: 1 << i for i, u in enumerate(order)}
-    pending = pend_ids = 0
-    for u in order:
-        if remaining[u] > 0:
-            pending |= rank_bit[u]
-            pend_ids |= 1 << u
+    pending = sum(b for u, b in rank_bit.items() if remaining[u] > 0)
     cycle_end = 0
 
     while pending:
         walk = pending
-        open_ids = pend_ids
         window_start = cycle_end
-        blocked = 0  # nodes conflicting with some occupant
         while walk:
             low = walk & -walk
-            walk ^= low
-            v = order[low.bit_length() - 1]
-            if blocked >> v & 1:
-                continue
+            i = low.bit_length() - 1
+            v = order[i]
             demand = remaining[v]  # read live; may exceed the snapshot's
             if window_start + demand > cycle_end:
                 cycle_end = window_start + demand
             allocations[v].append((window_start, demand))
             remaining[v] = 0
             pending ^= low
-            pend_ids ^= 1 << v
             p = parent[v]
             remaining[p] += demand
             if p != sink:
                 pending |= rank_bit[p]
-                pend_ids |= 1 << p
-            blocked |= masks.get(v, 0)
-            open_ids ^= 1 << v
-            if not open_ids & ~blocked:
-                break
+            walk = (walk ^ low) & ~masks[i]
 
     assert remaining[sink] == tree.total_generated()
     return Schedule(cycle_end, allocations)

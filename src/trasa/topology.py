@@ -45,7 +45,11 @@ class NetworkGraph:
         if len(positions) < 1:
             raise ValueError("need at least one node")
         try:
-            self.positions = tuple((float(x), float(y)) for x, y in positions)
+            self.positions = tuple(
+                (x, y) if type(x) is float and type(y) is float  # the common case, taken as is
+                else (_real(x), _real(y))
+                for x, y in positions
+            )
         except (TypeError, ValueError):
             raise ValueError("node positions must be pairs of real numbers") from None
         if not all(math.isfinite(c) for xy in self.positions for c in xy):
@@ -89,6 +93,13 @@ def _integer(value, what: str) -> int:
 def _positive_real(value) -> bool:
     """True iff value is a finite real number above zero; a bool or a numeric string is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value > 0
+
+
+def _real(value) -> float:
+    """value as a float if it is a real number, else ValueError; a bool or a numeric string is not one."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"not a real number: {value!r}")
 
 
 def _area(area) -> tuple[float, float]:

@@ -15,13 +15,14 @@ from trasa.experiment_cli import (
     ExperimentConfig,
     RateFile,
     _parse_rate,
+    _run_point,
     derive_seed,
     emit_csv,
     main,
     run_experiment,
     sample_instance,
 )
-from trasa.scheduler import Variant, build_conflict_map, dump_schedule, run_trasa
+from trasa.scheduler import ConflictMap, Variant, build_conflict_map, dump_schedule, run_trasa
 from trasa.topology import is_connected
 from trasa.tree import dump_tree
 
@@ -106,6 +107,20 @@ def test_csv_path_builds_no_packets(monkeypatch, tmp_path, config, golden):
     out = tmp_path / "sweep.csv"
     emit_csv(run_experiment(config), out)
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_run_point_builds_no_id_masks(monkeypatch, tmp_path):
+    # the CSV path reads the conflict relation only in run_trasa's priority order
+    def refuse(_self):
+        raise AssertionError("the CSV path built id-space conflict masks")
+
+    monkeypatch.setattr(ConflictMap, "masks", property(refuse))
+    out = tmp_path / "sweep.csv"
+    emit_csv(run_experiment(small_config()), out)
+    assert out.read_bytes() == (DATA / "golden_small.csv").read_bytes()
+    for variant in Variant:  # the default sweep's density, where windows close early
+        row = _run_point(ExperimentConfig(n_values=[100], variant=variant), 100, 0)
+        assert row["cycle_length"] >= row["lower_bound"]
 
 
 def test_csv_line_count_for_forty_runs(tmp_path):

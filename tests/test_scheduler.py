@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from trasa.experiment_cli import ExperimentConfig, RateFile, sample_instance
 from trasa.topology import NetworkGraph, generate_random_graph
 from trasa.tree import build_spanning_tree, subtree_demand
 from trasa.scheduler import (
@@ -174,7 +175,7 @@ def test_bitmask_conflict_map_matches_per_node_bfs():
 
 
 def _traced_build(graph, tree, variant, h):
-    """`build_conflict_map(graph, tree, variant, h)` and the number of Python lines it ran."""
+    """`build_conflict_map(graph, tree, variant, h)` and the number of Python lines it and both of its views ran."""
     lines = 0
 
     def count_lines(frame, event, arg):
@@ -186,6 +187,7 @@ def _traced_build(graph, tree, variant, h):
     sys.settrace(count_lines)
     try:
         cm = build_conflict_map(graph, tree, variant, h)
+        cm.masks, cm.in_order(range(graph.n))  # the ball rounds run when a view is read
     finally:
         sys.settrace(previous)
     return cm, lines
@@ -258,12 +260,44 @@ def test_sort_once_bitmask_trasa_matches_resorting_loop():
     # walked after its child sends the child's packets in the same window
     for heuristic, rate in itertools.product((1, 2), (1, 2, "mixed")):
         g, t = random_tree(rng, (2, 40), rate)
-        _assert_matches_reference(t, ConflictMap({}), heuristic, heuristic, rate, g.n)
+        _assert_matches_reference(t, ConflictMap({}, 1), heuristic, heuristic, rate, g.n)
+
+
+def test_sort_once_bitmask_trasa_matches_resorting_loop_at_n2000():
+    # the seed-1 constant-density instances (range 0.08): windows close early,
+    # and with rates 0..3 many nodes carry no demand yet relay conflicts
+    rates = {u: random.Random(2000 + u).randint(0, 3) for u in range(2000)}
+    for gen_rate in (1, RateFile("mixed", rates)):
+        config = ExperimentConfig(n_values=[2000], range_r=0.08, h=2, max_children=3, gen_rate=gen_rate, base_seed=1)
+        g, t, _ = sample_instance(config, 2000, 0)
+        for variant, heuristic in itertools.product(Variant, (1, 2)):
+            _assert_matches_reference(t, build_conflict_map(g, t, variant, 2), heuristic, variant, gen_rate)
+
+
+def test_in_order_masks_match_the_id_relation():
+    rng = random.Random(2626)
+    for _ in range(40):
+        g, t = random_tree(rng, (2, 40), 1)
+        nodes = list(range(g.n))
+        for variant, h in itertools.product(Variant, (1, 2, 3, 4)):
+            cm = build_conflict_map(g, t, variant, h)
+            # full orders, and partial ones whose omitted nodes must still relay at h >= 2
+            for k in (g.n, rng.randint(0, g.n), rng.randint(0, g.n)):
+                order = rng.sample(nodes, k)
+                masks = cm.in_order(order)
+                assert len(masks) == k
+                for i, j in itertools.product(range(k), repeat=2):
+                    assert masks[i] >> j & 1 == cm.conflicts(order[i], order[j]), (variant, h, order, i, j)
+                assert all(mask >> k == 0 for mask in masks)
+    # a relation given by hand is its own links at h=1; nodes without links conflict with none
+    cm = ConflictMap({1: {2}, 2: {1, 3}, 3: {2}}, 1)
+    assert cm.in_order([3, 2, 1, 7]) == [0b10, 0b101, 0b10, 0]
+    assert cm.masks == {1: 0b100, 2: 0b1010, 3: 0b100}
 
 
 def test_trasa_without_conflicts_reads_live_demand():
     t = build_spanning_tree(chain_graph(4), max_children=3)
-    free = ConflictMap({})
+    free = ConflictMap({}, 1)
     # leaf first: 3 sends 1, then 2 sends its own and 3's, then 1 sends all three
     s = run_trasa(t, free, 2)
     assert s.length == 3

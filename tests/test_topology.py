@@ -248,6 +248,13 @@ def test_malformed_positions_are_value_errors():
     for positions in ([(0, 0), 1], [(0, 0), (None, 0)], [(0, 0), (1j, 0)], [(0, 0), (1, 2, 3)], [(0, 0), ("x", 0)]):
         with pytest.raises(ValueError, match="positions"):
             NetworkGraph(positions, 0.4, (1.0, 1.0))
+    # float() took these: ("0.1", "0") made the edge (0, 1) and (True, 0) became (1.0, 0.0)
+    for xy in (("0.1", "0"), (b"0.1", 0.0), (0.1, "0"), (True, 0), (0.1, np.False_)):
+        with pytest.raises(ValueError, match="positions must be pairs of real numbers"):
+            NetworkGraph([(0, 0), xy], 0.4, (1.0, 1.0))
+    g = NetworkGraph([(0, 0.0), (np.int64(1), np.float32(0.5)), (np.float64(0.25), 1)], 0.4, (1.0, 1.0))
+    assert g.positions == ((0.0, 0.0), (1.0, 0.5), (0.25, 1.0))
+    assert all(type(c) is float for xy in g.positions for c in xy)
 
 
 def test_area_is_two_sides_and_range_a_real_number():
