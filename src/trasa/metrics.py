@@ -4,17 +4,14 @@ The metrics need no packet identities. They read `scheduler._count_walk`,
 the one count-level walk of the causality rule (`validate_schedule` reads
 it too): per tree node, one sweep over the segments between the events of
 its own and its children's intervals, giving its awake runs, its highest
-level, its faults and its buffer levels without visiting a slot.
-`_node_counts` raises the first fault; delivery and the delay sum come from
-the sink's children's intervals.
+level and its faults without visiting a slot. `_node_counts` raises the
+first fault; delivery and the delay sum come from the sink's children's
+intervals.
 
-`replay_schedule` stores the count walk's results in a `SimTrace`: the
-levels as one (start, stop, level after the segment, step per slot) entry
-per segment in which a node's level changes, which `SimTrace.buffer_changes`
-expands into per-slot (slot, level) change points only when they are
-read. So `compute_metrics` on its trace does not walk again. The one thing
-the counts cannot give is which node each sink arrival came from: for
-that, `_replay` tracks individual packets, tagged with their origin,
+`replay_schedule` stores the count walk's awake counts and peak in a
+`SimTrace`, so `compute_metrics` on its trace does not walk again. The one
+thing the counts cannot give is which node each sink arrival came from:
+for that, `_replay` tracks individual packets, tagged with their origin,
 through per-node FIFO queues. A node's own packets are queued at cycle
 start, ahead of anything it later receives, and a transmitter forwards one
 packet to its parent in each of its slots. The replay moves packets per run
@@ -27,7 +24,6 @@ never with the idle slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .scheduler import _count_walk
@@ -43,40 +39,14 @@ class CausalityBreach(RuntimeError):
 
 @dataclass
 class SimTrace:
-    """Raw replay record: per-segment buffer levels, sink arrivals, awake-interval counts.
+    """Raw replay record: sink arrivals, awake-interval counts, peak buffer level.
 
-    `start_levels[u]` is each non-sink node u's level at cycle start, and
-    `level_spans[u]` lists, in slot order, one (start, stop, level, step)
-    entry per segment [start, stop) of u's count walk in which u's level
-    changes by `step` in every slot, ending at `level` after slot stop - 1.
-    Adjacent entries may continue one another: they are not necessarily
-    maximal. `max_buffer` is the highest non-sink level after any slot of
-    the cycle.
+    `max_buffer` is the highest non-sink level after any slot of the cycle.
     """
 
-    start_levels: dict[int, int]
-    level_spans: dict[int, list[tuple[int, int, int, int]]]
     packet_arrivals: list[tuple[int, int]]  # (origin node, arrival slot at sink)
     awake_intervals: dict[int, int]
     max_buffer: int
-
-    @cached_property
-    def buffer_changes(self) -> dict[int, list[tuple[int, int]]]:
-        """Each non-sink node's (slot, level) change points, expanded from its spans on first read.
-
-        A point is u's level after that slot, kept until the next point's
-        slot. The first point is at slot 0; each later one marks a slot
-        after which the level differs.
-        """
-        changes: dict[int, list[tuple[int, int]]] = {}
-        for u, level in self.start_levels.items():
-            points = [(0, level)]
-            for a, b, after, d in self.level_spans[u]:
-                if a == 0:  # a span from slot 0 replaces the cycle-start point
-                    points.pop()
-                points += zip(range(a, b), range(after - d * (b - a - 1), after + d, d))
-            changes[u] = points
-        return changes
 
 
 @dataclass
@@ -88,8 +58,8 @@ class Metrics:
     total_switches: int
 
 
-def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int, dict]:
-    """Each node's awake-interval count, the highest non-sink level and the level entries, from `_count_walk`.
+def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int], int]:
+    """Each node's awake-interval count and the highest non-sink level, from `_count_walk`.
 
     Raises CausalityBreach where the sink or a node outside the tree
     transmits, or for the first (slot, node) that sends from an empty
@@ -98,11 +68,11 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
     strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    awake, peak, faults, spans = _count_walk(schedule, tree)
+    awake, peak, faults = _count_walk(schedule, tree)
     if faults:
         slot, u = min((start, u) for start, _, u in faults)
         raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")
-    return awake, peak, spans
+    return awake, peak
 
 
 def _replay(schedule: Schedule, tree: SpanningTree) -> list[tuple[int, int]]:
@@ -158,19 +128,17 @@ def _interleave(slices: list[list]) -> list:
 
 
 def replay_schedule(schedule: Schedule, tree: SpanningTree) -> SimTrace:
-    """Replay one cycle and record buffers, arrivals and awake intervals.
+    """Replay one cycle and record its sink arrivals, awake intervals and peak buffer level.
 
-    The cycle-start levels are the nodes' generation rates; the level
-    entries, awake counts and peak come from the count walk, and the sink
+    The awake counts and peak come from the count walk, and the sink
     arrivals from `_replay`, in the order a slot-by-slot packet walk gives.
     A node is awake in a slot iff it transmits or one of its children does.
     Raises CausalityBreach on foreign schedules that transmit unheld packets
     or let the sink or a node outside the tree transmit; schedules produced
     by the greedy scheduler never do.
     """
-    awake, max_buffer, spans = _node_counts(schedule, tree)
-    starts = {u: tree.gen_rate[u] for u in tree.non_sink_nodes()}
-    return SimTrace(starts, spans, _replay(schedule, tree), awake, max_buffer)
+    awake, max_buffer = _node_counts(schedule, tree)
+    return SimTrace(_replay(schedule, tree), awake, max_buffer)
 
 
 def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
@@ -184,7 +152,7 @@ def schedule_metrics(schedule: Schedule, tree: SpanningTree) -> Metrics:
     cycle, and total_switches sums every node's awake intervals. Raises
     CausalityBreach where `replay_schedule` does, with the same message.
     """
-    return _metrics(schedule, tree, *_node_counts(schedule, tree)[:2])
+    return _metrics(schedule, tree, *_node_counts(schedule, tree))
 
 
 def compute_metrics(trace: SimTrace, schedule: Schedule, tree: SpanningTree) -> Metrics:

@@ -39,10 +39,15 @@ class ConflictMap:
     relation given by hand is its own links at h=1. `masks[u]`, built on
     first read, has bit v set iff u and v conflict, so node ids are
     non-negative ints; `in_order(order)` sets bit i for `order[i]` instead.
+    A linked node that is not a key is reported when the balls are built.
     """
 
     links: dict[int, Collection[int]]
     h: int
+
+    def __post_init__(self):
+        if _integer(self.h, "h") < 1:
+            raise ValueError("h must be >= 1")
 
     @cached_property
     def masks(self) -> dict[int, int]:
@@ -67,7 +72,10 @@ class ConflictMap:
             for u, near in self.links.items():
                 ball = prev[u]
                 for w in near:
-                    ball |= prev[w]
+                    try:
+                        ball |= prev[w]
+                    except KeyError:
+                        raise ValueError(f"node {w} is linked but not a key") from None
                 balls[u] = ball
             if balls == prev:
                 break
@@ -98,9 +106,6 @@ def build_conflict_map(
     ALL_LINKS measures hop distance in the full graph; TREE_ONLY only walks
     parent/child links, so its relation is a subset of ALL_LINKS at equal h.
     """
-    h = _integer(h, "h")
-    if h < 1:
-        raise ValueError("h must be >= 1")
     if variant is Variant.ALL_LINKS:
         links = dict(enumerate(graph._adjacency))
     elif variant is Variant.TREE_ONLY:
@@ -294,8 +299,8 @@ class ValidationReport:
         return [v for v in self.violations if v.kind == kind]
 
 
-def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list, dict]:
-    """Each node's awake-interval count, the highest non-sink level, every fault range and level entry.
+def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list]:
+    """Each node's awake-interval count, the highest non-sink level and every fault range.
 
     The one count-level walk of the causality rule: a node forwards only
     packets it holds and sends before it receives in a slot. Nodes are
@@ -310,10 +315,7 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
     nodes outside the tree are not walked. A segment's highest
     level is after its first or last slot, so the start level counts only
     where a node is idle in slot 0; a run of segments with activity is one
-    awake interval. Each non-sink node's level entries are, in slot order,
-    one (start, stop, level after the segment, step per slot) per segment
-    in which its level changes, as `SimTrace.level_spans` holds them. No
-    slot is visited.
+    awake interval. No slot is visited.
     """
     allocations = schedule.allocations
     children = tree.children
@@ -324,7 +326,6 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
     awake: dict[int, int] = {}
     peak = 0
     lost: dict[int, list[tuple[int, int]]] = {}  # node -> its fault ranges
-    spans: dict[int, list[tuple[int, int, int, int]]] = {}  # non-sink node -> its level entries
     if sink in allocations:
         lost[sink] = [(start, start + width) for start, width in allocations[sink]]
     for u in sorted(depth, key=depth.__getitem__, reverse=True):
@@ -339,9 +340,6 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
                 for start, stop in lost[v]:
                     events += ((start, 0, -1), (stop, 0, 1))
         events.sort()
-        entries = []  # the sink records none
-        if u != sink:
-            spans[u] = entries
         level = rate.get(u, 0)
         top = sends = receives = runs = prev = 0
         active = False
@@ -359,8 +357,6 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
                         lost.setdefault(u, []).append((prev + level, stop))
                         level = stop - prev  # a fault sends nothing
                     level += (slot - prev) * d
-                    if d and u != sink:
-                        entries.append((prev, slot, level, d))
                 else:
                     active = False
                 if level > top:
@@ -371,7 +367,7 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
         awake[u] = runs
         if u != sink and top > peak:
             peak = top
-    return awake, peak, [(start, stop, u) for u, ranges in lost.items() for start, stop in ranges], spans
+    return awake, peak, [(start, stop, u) for u, ranges in lost.items() for start, stop in ranges]
 
 
 def validate_schedule(

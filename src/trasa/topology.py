@@ -64,15 +64,17 @@ class NetworkGraph:
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         """The nodes linked to u, as a tuple in ascending id order."""
-        self._check_node(u)
-        return self._adjacency[u]
+        return self._adjacency[self._check_node(u)]
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._adjacency[u] if u < v]
 
-    def _check_node(self, u: int) -> None:
+    def _check_node(self, u) -> int:
+        """u as a node id of this graph, else ValueError."""
+        u = _integer(u, "node id")
         if not 0 <= u < self.n:
             raise ValueError(f"node {u} not in graph of {self.n} nodes")
+        return u
 
 
 def _integer(value, what: str) -> int:
@@ -173,8 +175,8 @@ def generate_random_graph(
 
 def within_h_hops(graph: NetworkGraph, u: int, v: int, h: int) -> bool:
     """True iff the hop distance between distinct nodes u and v is in 1..h."""
-    graph._check_node(u)
-    graph._check_node(v)
+    u = graph._check_node(u)
+    v = graph._check_node(v)
     if u == v:
         raise ValueError("within_h_hops is defined between distinct nodes")
     h = _integer(h, "h")

@@ -102,7 +102,7 @@ def build_spanning_tree(
     max_children = _integer(max_children, "max_children")
     if max_children < 1:
         raise ValueError("max_children must be >= 1")
-    graph._check_node(sink)
+    sink = graph._check_node(sink)
     n = graph.n
     adjacency = graph._adjacency
     parent: dict[int, int] = {}

@@ -40,8 +40,7 @@ def test_chain_replay_hand_trace(chain_run):
     t, s = chain_run
     trace = replay_schedule(s, t)
     assert trace.packet_arrivals == [(1, 0), (2, 2)]
-    assert trace.buffer_changes[1] == [(0, 0), (1, 1), (2, 0)]  # levels 0, 1, 0
-    assert trace.buffer_changes[2] == [(0, 1), (1, 0)]  # levels 1, 0, 0
+    assert trace.max_buffer == 1  # levels 0, 1, 0 at node 1 and 1, 0, 0 at node 2
     # a transmits, receives, transmits across slots 0-2: one awake interval
     assert trace.awake_intervals[1] == 1
     assert trace.awake_intervals[2] == 1
@@ -191,18 +190,9 @@ def _reference_replay(schedule, tree):
     return buffer_series, arrivals, intervals
 
 
-def _change_points(buffer_series, tree):
-    """The dense reference's per-slot levels as `SimTrace.buffer_changes` points.
-
-    Each node's first point is at slot 0 (its start level in a length-0
-    cycle); each later one marks a slot after which its level differs.
-    """
-    changes = {}
-    for u, levels in buffer_series.items():
-        points = [(0, levels[0] if levels else tree.gen_rate[u])]
-        points += [(slot, level) for slot, level in enumerate(levels) if slot and level != levels[slot - 1]]
-        changes[u] = points
-    return changes
+def _dense_max(buffer_series):
+    """The highest level in the dense reference's per-slot series, 0 without slots."""
+    return max((lvl for series in buffer_series.values() for lvl in series), default=0)
 
 
 def _reference_metrics(reference, schedule, tree):
@@ -214,7 +204,7 @@ def _reference_metrics(reference, schedule, tree):
         cycle_length=length,
         slot_reuse=sends / length if length else 0.0,
         avg_delay=sum(delays) / len(delays) if delays else 0.0,
-        max_buffer=max((lvl for series in buffer_series.values() for lvl in series), default=0),
+        max_buffer=_dense_max(buffer_series),
         total_switches=sum(intervals.values()),
     )
 
@@ -368,7 +358,7 @@ def _check_against_references(schedule, conflicts, tree):
         return violations
     trace = replay_schedule(schedule, tree)
     buffer_series, arrivals, intervals = expected
-    assert trace.buffer_changes == _change_points(buffer_series, tree)
+    assert trace.max_buffer == _dense_max(buffer_series)
     assert (trace.packet_arrivals, trace.awake_intervals) == (arrivals, intervals)
     measures = _reference_metrics(expected, schedule, tree)
     assert schedule_metrics(schedule, tree) == measures
@@ -626,12 +616,11 @@ def test_replay_records_work_per_transmission():
     g, t, _ = sample_instance(config, 500, 0)
     s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
     trace = replay_schedule(s, t)
-    sends = sum((b - a) * len(txs) for a, b, txs in s.runs())
-    receives = sends - len(trace.packet_arrivals)  # every packet not at the sink lands in a buffer
-    points = sum(len(p) for p in trace.buffer_changes.values())
-    assert points <= sends + receives + g.n
-    assert points * 20 < s.length * (g.n - 1)  # far below one sample per slot and node
-    assert compute_metrics(trace, s, t).max_buffer == max(lv for p in trace.buffer_changes.values() for _, lv in p)
+    # one arrival per packet, one awake count per node and the peak: nothing per slot
+    assert len(trace.packet_arrivals) == t.total_generated()
+    assert trace.awake_intervals.keys() == set(t.nodes())
+    buffer_series, _, _ = _reference_replay(s, t)
+    assert compute_metrics(trace, s, t).max_buffer == trace.max_buffer == _dense_max(buffer_series) == 1296
 
 
 # --- the run-level packet replay ------------------------------------------------
@@ -646,34 +635,35 @@ def test_replay_of_the_large_tree_rate4_instances_is_pinned():
     # runs (60-67 runs over 3,000-3,800 slots), under the greedy schedule and under a
     # conflicting but causal one in which every node sends its whole subtree demand
     # from slot 0; digests recorded with a replay that split a run where a node and
-    # its parent both send
+    # its parent both send, peak levels with the count walk that also kept per-segment
+    # levels
     config = ExperimentConfig(
         n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
         variant=Variant.TREE_ONLY, gen_rate=4, runs=2, base_seed=1,
     )
     pinned = {
         (0, "greedy"): (
-            "510231125fc7b0e9da03866322b1f21a6352ce282637afe02465ee2097b78bbc",
             "9d635f054aa8adae968df8c5dc6f9ae305edb0cd70ae84ebbb349cb98b529ece",
             "cfe8890e97b188eeda8616ee22db9dc3da5047bd14833c44fced577c4b7d3161",
+            1296,
         ),
         (0, "all from slot 0"): (
-            "6ba2a5f0f9daee4d2e50996d3ac9f931572cede02d2c12f5b83cf87d0527d675",
             "8edb208a67ce5353c0b03407e1549c852c5b1ecd3eefe27ec933f40f2b811e8d",
             "65d24f8038e28e8ce14a31adc7eb5abb0cf80758df8e723c151b0993f7325a79",
+            684,
         ),
         (1, "greedy"): (
-            "caad6db24375cd284f41a263b8c72185c93b59f08c55f10499c09c67d0079222",
             "aa09934b21ecf861e94823339613b9d740b3ef0593e936ef61171845e2adc294",
             "f4cc2692c6f3cf6bf08c7570ec18a6a4ee2534d60863d729a845f87e6fe8b6bb",
+            1020,
         ),
         (1, "all from slot 0"): (
-            "ced53dbb78cb04313ee42e4451c9db2748334b20a488c8942d68d15d1157e3f9",
             "9ab465659f6acc55adab16e295aa795840e479acd1f8f446490a002ee52923d0",
             "65d24f8038e28e8ce14a31adc7eb5abb0cf80758df8e723c151b0993f7325a79",
+            356,
         ),
     }
-    for (run_index, kind), digests in pinned.items():
+    for (run_index, kind), expected in pinned.items():
         g, t, _ = sample_instance(config, 500, run_index)
         cm = build_conflict_map(g, t, Variant.TREE_ONLY, 2)
         if kind == "greedy":
@@ -685,29 +675,10 @@ def test_replay_of_the_large_tree_rate4_instances_is_pinned():
             assert violations and {v.kind for v in violations} == {CONFLICT}
         trace = replay_schedule(s, t)
         assert (
-            _sha256(sorted(trace.buffer_changes.items())),
             _sha256(trace.packet_arrivals),
             _sha256(sorted(trace.awake_intervals.items())),
-        ) == digests
-
-
-def test_replay_stores_buffer_levels_per_span_and_expands_them_on_read():
-    config = ExperimentConfig(
-        n_values=[500], range_r=0.16, h=2, max_children=3, heuristic=2,
-        variant=Variant.TREE_ONLY, gen_rate=4, runs=1, base_seed=1,
-    )
-    g, t, _ = sample_instance(config, 500, 0)
-    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
-    pairs = 0  # run x transmitter plus run x receiver (the sink included)
-    for _, _, txs in s.runs():
-        pairs += len(txs) + len({t.parent[u] for u in txs})
-    trace = replay_schedule(s, t)
-    entries = sum(map(len, trace.level_spans.values()))
-    assert "buffer_changes" not in vars(trace)
-    points = sum(map(len, trace.buffer_changes.values()))
-    assert "buffer_changes" in vars(trace)
-    assert entries <= pairs == 1820 and points == 21584  # the trace grows with the runs
-    assert trace.start_levels == {u: t.gen_rate[u] for u in t.non_sink_nodes()}
+            trace.max_buffer,
+        ) == expected
 
 
 def _traced_replay(schedule, tree):
@@ -735,8 +706,7 @@ def test_replay_cost_does_not_grow_with_run_width():
     assert lines < 200  # a walk slot by slot runs over 100,000 lines
     assert arrivals == [(1, slot) for slot in range(width)]
     trace = replay_schedule(s, t)
-    assert (trace.start_levels, trace.level_spans) == ({1: width}, {1: [(0, width, 0, -1)]})  # the whole run is one entry
-    assert trace.buffer_changes[1] == list(zip(range(width), range(width - 1, -1, -1)))
+    assert (trace.awake_intervals, trace.max_buffer) == ({0: 1, 1: 1}, width - 1)  # the peak is after slot 0
     # 0 - 1 - 2 with node 1 forwarding while node 2 sends: a conflict, but causal,
     # and still one run taken whole
     t = build_spanning_tree(chain_graph(3), max_children=1, gen_rate={1: 1, 2: width})
@@ -746,6 +716,15 @@ def test_replay_cost_does_not_grow_with_run_width():
     assert arrivals == [(1, 0)] + [(2, k) for k in range(1, width + 1)]
 
 
+def _check_replay(schedule, tree, arrivals):
+    trace = replay_schedule(schedule, tree)
+    assert trace.packet_arrivals == arrivals
+    buffer_series, arrivals, intervals = _reference_replay(schedule, tree)
+    assert trace.max_buffer == _dense_max(buffer_series)
+    assert (trace.packet_arrivals, trace.awake_intervals) == (arrivals, intervals)
+    return trace
+
+
 def test_level_entries_are_per_node_segments_not_global_runs():
     # 0 - {1, 2}: node 2's one slot splits the global runs at slots 2 and 3, but not
     # node 1's own segment, which sends in every slot
@@ -753,19 +732,8 @@ def test_level_entries_are_per_node_segments_not_global_runs():
     t = build_spanning_tree(g, max_children=2, gen_rate={1: 4, 2: 1})
     s = Schedule(4, {1: [(0, 4)], 2: [(2, 1)]})
     assert list(s.runs()) == [(0, 2, (1,)), (2, 3, (1, 2)), (3, 4, (1,))]
-    trace = replay_schedule(s, t)
-    assert trace.level_spans == {1: [(0, 4, 0, -1)], 2: [(2, 3, 0, -1)]}
-    assert trace.buffer_changes == {1: [(0, 3), (1, 2), (2, 1), (3, 0)], 2: [(0, 1), (2, 0)]}
-    assert trace.packet_arrivals == [(1, 0), (1, 1), (1, 2), (2, 2), (1, 3)]
-
-
-def _check_replay(schedule, tree, arrivals):
-    trace = replay_schedule(schedule, tree)
-    assert trace.packet_arrivals == arrivals
-    buffer_series, arrivals, intervals = _reference_replay(schedule, tree)
-    assert trace.buffer_changes == _change_points(buffer_series, tree)
-    assert (trace.packet_arrivals, trace.awake_intervals) == (arrivals, intervals)
-    return trace
+    trace = _check_replay(s, t, [(1, 0), (1, 1), (1, 2), (2, 2), (1, 3)])
+    assert (trace.awake_intervals[1], trace.max_buffer) == (1, 3)  # one awake run; the peak is after slot 0
 
 
 def test_replay_interleaves_siblings_sending_to_one_parent_in_one_run():
@@ -777,7 +745,7 @@ def test_replay_interleaves_siblings_sending_to_one_parent_in_one_run():
     assert (1, 3, (2, 3)) in list(s.runs())
     # node 1 queues 2, 3, 2, 3 in slots 1-2 and 2 in slot 3, and forwards them in that order
     trace = _check_replay(s, t, [(1, 0), (2, 4), (3, 5), (2, 6), (3, 7), (2, 8)])
-    assert trace.buffer_changes[1] == [(0, 0), (1, 2), (2, 4), (3, 5), (4, 4), (5, 3), (6, 2), (7, 1), (8, 0)]
+    assert trace.max_buffer == 5  # node 1 after slot 3
 
 
 def test_replay_interleaves_sink_children_sharing_a_run():
@@ -796,4 +764,4 @@ def test_replay_takes_a_run_with_parent_and_child_whole():
     assert list(s.runs()) == [(0, 2, (1, 2)), (2, 3, (1,))]
     assert validate_schedule(s, build_conflict_map(g, t, Variant.ALL_LINKS, 1), t).of_kind(CONFLICT)
     trace = _check_replay(s, t, [(1, 0), (2, 1), (2, 2)])
-    assert trace.buffer_changes == {1: [(0, 1), (2, 0)], 2: [(0, 1), (1, 0)]}
+    assert trace.max_buffer == 1

@@ -295,6 +295,20 @@ def test_in_order_masks_match_the_id_relation():
     assert cm.masks == {1: 0b100, 2: 0b1010, 3: 0b100}
 
 
+def test_conflict_map_checks_its_own_input():
+    # unchecked, h=0 and h=-3 gave empty masks that pass any schedule, 1.5 raised TypeError
+    for bad, message in ((0, "h must be >= 1"), (-3, "h must be >= 1"), (1.5, "h must be an integer"), (True, "h must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            ConflictMap({1: {2}, 2: {1}}, bad)
+    assert ConflictMap({1: {2}, 2: {1}}, np.int64(2)).masks == {1: 0b100, 2: 0b10}
+    # a link to a node that is not a key raised KeyError, on either read
+    cm = ConflictMap({1: {2}}, 1)
+    with pytest.raises(ValueError, match="^node 2 is linked but not a key$"):
+        cm.masks
+    with pytest.raises(ValueError, match="^node 2 is linked but not a key$"):
+        cm.in_order([1])
+
+
 def test_trasa_without_conflicts_reads_live_demand():
     t = build_spanning_tree(chain_graph(4), max_children=3)
     free = ConflictMap({}, 1)

@@ -161,6 +161,11 @@ def test_within_h_hops_rejects_equal_nodes_and_bad_h():
     for h in ("2", True, 1.5):  # build_conflict_map rejects these too
         with pytest.raises(ValueError, match="h must be an integer"):
             within_h_hops(g, 0, 2, h)
+    # node ids go through the same integer rule; numpy integers are ids
+    for u in (0.5, "0", True):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            within_h_hops(g, u, 1, 1)
+    assert within_h_hops(g, np.int64(0), np.uint8(1), 1)
 
 
 def test_disconnected_pair_is_never_within_h():
@@ -288,6 +293,14 @@ def test_node_count_and_seed_must_be_integers():
     g = generate_random_graph(np.int64(5), (1.0, 1.0), 0.4, seed=np.uint32(9))
     assert dump_graph(g) == dump_graph(generate_random_graph(5, (1.0, 1.0), 0.4, seed=9))
     assert type(g.seed) is int
+    # unchecked, 1.5 and "1" raised TypeError and True read node 1's neighbours
+    for bad in (1.5, "1", True, np.True_):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            g.neighbors(bad)
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=f"node {bad} not in graph"):
+            g.neighbors(bad)
+    assert g.neighbors(np.int64(1)) == g.neighbors(1)
 
 
 def test_far_apart_finite_positions_are_not_linked():

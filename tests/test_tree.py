@@ -95,6 +95,12 @@ def test_construction_is_deterministic():
     t2 = build_spanning_tree(g, max_children=3)
     assert t1.parent == t2.parent
     assert dump_tree(t1) == dump_tree(t2)
+    # the sink is a node id: unchecked, sink=True built a tree rooted at True
+    t3 = build_spanning_tree(g, max_children=3, sink=np.int64(0))
+    assert dump_tree(t3) == dump_tree(t1) and type(t3.sink) is int
+    for bad in (True, 0.0, "0"):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            build_spanning_tree(g, max_children=3, sink=bad)
 
 
 def test_subtree_demand_examples():
