@@ -14,19 +14,18 @@ import hashlib
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
 
 from .metrics import schedule_metrics
 from .scheduler import (
     Schedule,
     Variant,
     build_conflict_map,
+    dump_schedule,
     run_trasa,
     schedule_length_bounds,
-    write_schedule_file,
 )
 from .topology import NetworkGraph, _area, _positive_real, generate_random_graph
-from .tree import Disconnected, Infeasible, SpanningTree, _integer, build_spanning_tree, write_tree_file
+from .tree import Disconnected, Infeasible, SpanningTree, _integer, build_spanning_tree, dump_tree
 
 
 class ConfigError(ValueError):
@@ -288,7 +287,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message or the help
+        return 1 if exc.code else 0
     try:
         config = ExperimentConfig(
             n_values=_parse_nodes(args.nodes),
@@ -306,9 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_tree or args.dump_schedule:
             tree, schedule, _ = _schedule_point(config, config.n_values[0], 0)
             if args.dump_tree:
-                _dump_artifact(partial(write_tree_file, tree), args.dump_tree)
+                _dump_artifact(args.dump_tree, dump_tree(tree))
             if args.dump_schedule:
-                _dump_artifact(partial(write_schedule_file, schedule, tree), args.dump_schedule)
+                _dump_artifact(args.dump_schedule, dump_schedule(schedule, tree))
         emit_csv(table, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -322,9 +324,10 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _dump_artifact(write, path) -> None:
+def _dump_artifact(path, text: str) -> None:
     try:
-        write(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

@@ -37,7 +37,7 @@ of that estimate first.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, mul
@@ -128,19 +128,6 @@ def _clique_weights(tree: SpanningTree, masks: Sequence[int]) -> list[list[int]]
     return [[(k & above[v]).bit_count() for v in order] for k in _maximal_cliques((1 << len(order)) - 1, masks)]
 
 
-def _clique_bound(tree: SpanningTree, conflicts: ConflictMap) -> Callable[[Sequence[int]], int]:
-    """The conflict-clique lower bound, as a function of the buffers.
-
-    Buffers are given in `tree.non_sink_nodes()` order. The bound is the
-    largest funnel sum over the maximal cliques of the conflict graph on the
-    non-sink nodes, computed per clique as the buffers weighted by
-    `_clique_weights`; 0 with no node. At the tree's own rates (`gen_rate`)
-    it is a lower bound on the cycle length.
-    """
-    weights = _clique_weights(tree, conflicts.in_order(tree.non_sink_nodes()))
-    return lambda buffers: max((sum(map(mul, buffers, w)) for w in weights), default=0)
-
-
 def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     """Exact minimum cycle length over all conflict-free delivering schedules.
 
@@ -148,10 +135,11 @@ def optimal_schedule_length(tree: SpanningTree, conflicts: ConflictMap) -> int:
     search over buffer tuples (see the module docstring): each slot fires
     one maximal independent set of the buffers holding packets, enumerated
     by Bron–Kerbosch once per distinct eligible mask. The estimate is slots +
-    the clique bound of `_clique_bound`, which never overestimates the slots
-    left and drops by at most one per slot, so the first goal popped is
-    optimal; equal estimates pop the deepest state first. A move whose
-    sender holds no packet raises AssertionError.
+    the clique bound, the largest buffer sum weighted per clique by
+    `_clique_weights`, which never overestimates the slots left and drops by
+    at most one per slot, so the first goal popped is optimal; equal
+    estimates pop the deepest state first. A move whose sender holds no
+    packet raises AssertionError.
     """
     if tree.n > MAX_ORACLE_NODES:
         raise TooLarge(f"exact search is limited to {MAX_ORACLE_NODES} nodes, got {tree.n}")

@@ -196,6 +196,7 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
     then node id in both, giving a total order.
     """
     heuristic = _check_heuristic(heuristic)
+    u = _integer(u, "node id")
     if u == tree.sink:
         raise ValueError("the sink is never scheduled")
     if u not in tree.depth:
@@ -459,13 +460,3 @@ def parse_schedule(text: str) -> Schedule:
             intervals.append((int(s), int(w)))
         allocations[u] = intervals
     return Schedule(length, allocations)
-
-
-def write_schedule_file(schedule: Schedule, tree: SpanningTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_schedule(schedule, tree))
-
-
-def read_schedule_file(path) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schedule(fh.read())

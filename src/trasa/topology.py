@@ -243,13 +243,3 @@ def parse_graph(text: str) -> NetworkGraph:
         seen.add(i)
         positions[i] = (float(parts[1]), float(parts[2]))
     return NetworkGraph(positions, range_r, area, seed=seed)
-
-
-def write_graph_file(graph: NetworkGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_graph(graph))
-
-
-def read_graph_file(path) -> NetworkGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())

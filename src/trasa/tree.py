@@ -37,19 +37,18 @@ class Infeasible(ValueError):
 class SpanningTree:
     """Parent/children structure with depth, descendant and generation-rate maps.
 
-    gen_rate(u) is the number of packets u generates per cycle; the sink's
-    rate is always 0. Immutable once built.
+    The root `sink` is always `SINK`. gen_rate(u) is the number of packets u
+    generates per cycle; the sink's rate is always 0. Immutable once built.
     """
 
     def __init__(
         self,
-        sink: int,
         parent: dict[int, int],
         children: dict[int, list[int]],
         depth: dict[int, int],
         gen_rate: dict[int, int],
     ):
-        self.sink = sink
+        self.sink = SINK
         self.parent = dict(parent)
         self.children = {u: list(cs) for u, cs in children.items()}
         self.depth = dict(depth)
@@ -75,12 +74,12 @@ class SpanningTree:
         return sum(self.gen_rate[u] for u in self.non_sink_nodes())
 
 
-def _normalize_rates(nodes: list[int], sink: int, gen_rate) -> dict[int, int]:
+def _normalize_rates(nodes: list[int], gen_rate) -> dict[int, int]:
     if isinstance(gen_rate, Mapping):
         rates = {u: _integer(gen_rate.get(u, 1), "gen_rate") for u in nodes}
     else:
         rates = dict.fromkeys(nodes, _integer(gen_rate, "gen_rate"))
-    rates[sink] = 0
+    rates[SINK] = 0
     for u, r in rates.items():
         if r < 0:
             raise ValueError(f"negative gen_rate for node {u}")
@@ -90,10 +89,10 @@ def _normalize_rates(nodes: list[int], sink: int, gen_rate) -> dict[int, int]:
 def build_spanning_tree(
     graph: NetworkGraph,
     max_children: int,
-    sink: int = SINK,
+    *,
     gen_rate: int | Mapping[int, int] = 1,
 ) -> SpanningTree:
-    """Build the deterministic bounded-degree spanning tree rooted at sink.
+    """Build the deterministic bounded-degree spanning tree rooted at the sink (`SINK`).
 
     Raises Disconnected when some node is unreachable from the sink, and
     Infeasible when the attachment rule dead-ends (every neighbor of some
@@ -102,14 +101,13 @@ def build_spanning_tree(
     max_children = _integer(max_children, "max_children")
     if max_children < 1:
         raise ValueError("max_children must be >= 1")
-    sink = graph._check_node(sink)
     n = graph.n
     adjacency = graph._adjacency
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {u: [] for u in range(n)}
-    depth: dict[int, int] = {sink: 0}
-    unattached = set(range(n)) - {sink}
-    layer, d = [sink], 0
+    depth: dict[int, int] = {SINK: 0}
+    unattached = set(range(n)) - {SINK}
+    layer, d = [SINK], 0
     while layer and unattached:
         d += 1
         open_parents = set(layer)
@@ -137,12 +135,13 @@ def build_spanning_tree(
             f"child limit {max_children} blocks nodes {sorted(unattached)} from attaching"
         )
 
-    rates = _normalize_rates(list(range(n)), sink, gen_rate)
-    return SpanningTree(sink, parent, children, depth, rates)
+    rates = _normalize_rates(list(range(n)), gen_rate)
+    return SpanningTree(parent, children, depth, rates)
 
 
 def subtree_demand(tree: SpanningTree, u: int) -> int:
     """Packets u must forward per cycle: its own plus everything generated below it."""
+    u = _integer(u, "node id")
     if u == tree.sink:
         raise ValueError("the sink never transmits and has no traffic demand")
     if u not in tree.depth:
@@ -162,8 +161,3 @@ def dump_tree(tree: SpanningTree) -> str:
             f"{u} {p} {tree.depth[u]} {tree.descendants[u]} {tree.gen_rate[u]}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_tree_file(tree: SpanningTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_tree(tree))

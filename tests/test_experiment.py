@@ -294,6 +294,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     # unwritable destination -> I/O failure
     assert main(["--nodes", "5", "--range", "0.6", "--runs", "1", "--out", str(tmp_path / "no" / "dir.csv")]) == 3
     capsys.readouterr()
+    # a command line argparse rejects is bad configuration too, not a sampling failure
+    for extra in (["--heuristic", "3"], ["--variant", "foo"], ["--h", "x"], ["--runs", "1.5"], ["--bogus"]):
+        assert main(["--nodes", "5", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: trasa")
+
+
+@pytest.mark.parametrize("flag", ["--dump-tree", "--dump-schedule"])
+def test_cli_dump_into_missing_directory_is_an_output_error(tmp_path, capsys, flag):
+    dump = tmp_path / "no" / "first.dump"
+    assert main(["--nodes", "5", "--range", "0.6", "--runs", "1", flag, str(dump)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"output error: cannot write {dump}:")
 
 
 def test_cli_negative_rate_file_is_a_config_error(tmp_path, capsys):

@@ -217,13 +217,14 @@ def _grid():
 def _check_start_bound(tree, conflicts, optimum) -> bool:
     """Assert branch-sum bound <= clique bound <= optimum at the start state; return whether the bound is exact.
 
-    The library's bound at the rates must equal the funnel form at the
-    subtree demands. The branch-sum bound is the largest sink-child branch
+    The library's clique weights at the rates must give the funnel form at
+    the subtree demands. The branch-sum bound is the largest sink-child branch
     sum, or every packet when the sink children pairwise conflict.
     """
     order = tree.non_sink_nodes()
-    bound = oracle._clique_bound(tree, conflicts)([tree.gen_rate[u] for u in order])
-    assert bound == _funnel_clique_bound(tree, conflicts)([subtree_demand(tree, u) for u in order])
+    bound = _funnel_clique_bound(tree, conflicts)([subtree_demand(tree, u) for u in order])
+    weights = oracle._clique_weights(tree, conflicts.in_order(order))
+    assert bound == max((sum(tree.gen_rate[u] * k for u, k in zip(order, w)) for w in weights), default=0)
     children = tree.children.get(tree.sink, [])
     branch_sum = max((subtree_demand(tree, c) for c in children), default=0)
     if len(children) >= 2 and all(conflicts.conflicts(a, b) for a, b in itertools.combinations(children, 2)):

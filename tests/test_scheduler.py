@@ -70,6 +70,11 @@ def test_priority_orders_chain_nodes(chain):
     for outside in (7, -1):
         with pytest.raises(ValueError):
             node_priority(t, outside, 1)
+    # a node id is an integer: True and 1.0 are not node 1
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            node_priority(t, bad, 1)
+    assert node_priority(t, np.int64(1), 1) == node_priority(t, 1, 1)
 
 
 def test_priority_ties_break_by_id():

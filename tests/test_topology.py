@@ -12,9 +12,7 @@ from trasa.topology import (
     generate_random_graph,
     is_connected,
     parse_graph,
-    read_graph_file,
     within_h_hops,
-    write_graph_file,
 )
 
 from conftest import chain_graph
@@ -211,8 +209,8 @@ def test_is_connected_agrees_with_union_find():
 def test_graph_file_round_trip(tmp_path):
     g = generate_random_graph(25, (1.5, 1.0), 0.4, seed=77)
     path = tmp_path / "net.graph"
-    write_graph_file(g, path)
-    back = read_graph_file(path)
+    path.write_text(dump_graph(g), encoding="utf-8")
+    back = parse_graph(path.read_text(encoding="utf-8"))
     assert back.positions == g.positions
     assert back.range_r == g.range_r
     assert back.area == g.area
