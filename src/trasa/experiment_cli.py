@@ -19,25 +19,18 @@ from .metrics import schedule_metrics
 from .scheduler import (
     Schedule,
     Variant,
+    _check_heuristic,
     build_conflict_map,
     dump_schedule,
     run_trasa,
     schedule_length_bounds,
 )
-from .topology import NetworkGraph, _area, _positive_real, generate_random_graph
-from .tree import Disconnected, Infeasible, SpanningTree, _integer, build_spanning_tree, dump_tree
+from .topology import NetworkGraph, _area, _integer, _positive_real, generate_random_graph
+from .tree import Disconnected, Infeasible, SpanningTree, build_spanning_tree, dump_tree
 
 
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
-
-
-def _config_integer(value, what: str) -> int:
-    """value as an int if it is integral, else ConfigError (see `tree._integer`)."""
-    try:
-        return _integer(value, what)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 class CannotSample(RuntimeError):
@@ -96,37 +89,36 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def validate(self) -> None:
-        if not self.n_values or any(_config_integer(n, "n_values entry") < 1 for n in self.n_values):
-            raise ConfigError("n_values must be non-empty positive integers")
         try:
+            if not self.n_values or any(_integer(n, "n_values entry") < 1 for n in self.n_values):
+                raise ValueError("n_values must be non-empty positive integers")
             _area(self.area)
+            if not _positive_real(self.range_r):
+                raise ValueError("range must be finite and positive")
+            if _integer(self.h, "h") < 1:
+                raise ValueError("h must be >= 1")
+            if _integer(self.max_children, "max_children") < 1:
+                raise ValueError("max_children must be >= 1")
+            _check_heuristic(self.heuristic)
+            if not isinstance(self.variant, Variant):
+                raise ValueError("variant must be a Variant")
+            if _integer(self.runs, "runs") < 1:
+                raise ValueError("runs must be >= 1")
+            _integer(self.base_seed, "base_seed")
+            if isinstance(self.gen_rate, RateFile):
+                rates, top = self.gen_rate.rates, max(self.n_values)
+                if not isinstance(rates, Mapping):
+                    raise ValueError(f"rate file rates must map node ids to rates, got {rates!r}")
+                for u, rate in rates.items():
+                    if _integer(rate, f"rate of node {u}") < 0:
+                        raise ValueError(f"negative rate for node {u}")
+                bad = sorted(u for u in rates if not 0 < _integer(u, "rate file node id") < top)
+                if bad:
+                    raise ValueError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
+            elif _integer(self.gen_rate, "uniform rate") < 1:
+                raise ValueError("uniform rate must be >= 1")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not _positive_real(self.range_r):
-            raise ConfigError("range must be finite and positive")
-        if _config_integer(self.h, "h") < 1:
-            raise ConfigError("h must be >= 1")
-        if _config_integer(self.max_children, "max_children") < 1:
-            raise ConfigError("max_children must be >= 1")
-        if _config_integer(self.heuristic, "heuristic") not in (1, 2):
-            raise ConfigError("heuristic must be 1 or 2")
-        if not isinstance(self.variant, Variant):
-            raise ConfigError("variant must be a Variant")
-        if _config_integer(self.runs, "runs") < 1:
-            raise ConfigError("runs must be >= 1")
-        _config_integer(self.base_seed, "base_seed")
-        if isinstance(self.gen_rate, RateFile):
-            rates, top = self.gen_rate.rates, max(self.n_values)
-            if not isinstance(rates, Mapping):
-                raise ConfigError(f"rate file rates must map node ids to rates, got {rates!r}")
-            for u, rate in rates.items():
-                if _config_integer(rate, f"rate of node {u}") < 0:
-                    raise ConfigError(f"negative rate for node {u}")
-            bad = sorted(u for u in rates if not 0 < _config_integer(u, "rate file node id") < top)
-            if bad:
-                raise ConfigError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
-        elif _config_integer(self.gen_rate, "uniform rate") < 1:
-            raise ConfigError("uniform rate must be >= 1")
 
 
 def derive_seed(base_seed: int, n: int, run_index: int, attempt: int) -> int:

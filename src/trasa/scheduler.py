@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .topology import NetworkGraph
-from .tree import SpanningTree, _integer, subtree_demand
+from .topology import NetworkGraph, _integer
+from .tree import SpanningTree, subtree_demand
 
 
 class Variant(Enum):
@@ -131,13 +131,8 @@ class Schedule:
         self.length = length
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
-            if type(u) is not int:  # exact ints, the common case, are taken as is
-                u = _integer(u, "node id")
-            ivs = [
-                (s, w) if type(s) is int and type(w) is int  # the common case, taken as is
-                else (_integer(s, "interval start"), _integer(w, "interval width"))
-                for s, w in intervals
-            ]
+            u = _integer(u, "node id")
+            ivs = [(_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals]
             ivs.sort()
             prev_end = -1
             for s, w in ivs:

@@ -45,11 +45,7 @@ class NetworkGraph:
         if len(positions) < 1:
             raise ValueError("need at least one node")
         try:
-            self.positions = tuple(
-                (x, y) if type(x) is float and type(y) is float  # the common case, taken as is
-                else (_real(x), _real(y))
-                for x, y in positions
-            )
+            self.positions = tuple((_real(x), _real(y)) for x, y in positions)
         except (TypeError, ValueError):
             raise ValueError("node positions must be pairs of real numbers") from None
         if not all(math.isfinite(c) for xy in self.positions for c in xy):
@@ -99,6 +95,8 @@ def _positive_real(value) -> bool:
 
 def _real(value) -> float:
     """value as a float if it is a real number, else ValueError; a bool or a numeric string is not one."""
+    if type(value) is float:  # the common case, checked first
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"not a real number: {value!r}")
