@@ -15,7 +15,7 @@ makes, not the number of pending nodes.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -39,7 +39,8 @@ class ConflictMap:
     relation given by hand is its own links at h=1. `masks[u]`, built on
     first read, has bit v set iff u and v conflict, so node ids are
     non-negative ints; `in_order(order)` sets bit i for `order[i]` instead.
-    A linked node that is not a key is reported when the balls are built.
+    Links that are not such a mapping, and a linked node that is not a key,
+    are reported as ValueError.
     """
 
     links: dict[int, Collection[int]]
@@ -48,11 +49,14 @@ class ConflictMap:
     def __post_init__(self):
         if _integer(self.h, "h") < 1:
             raise ValueError("h must be >= 1")
+        if not isinstance(self.links, Mapping):
+            raise ValueError(f"links must map node ids to their neighbours, got {type(self.links).__name__}")
 
     @cached_property
     def masks(self) -> dict[int, int]:
-        balls = self._balls({u: 1 << u for u in self.links})
-        return {u: ball & ~(1 << u) for u, ball in balls.items()}
+        label = {u: 1 << _integer(u, "node id") for u in self.links}
+        balls = self._balls(label)
+        return {u: ball & ~label[u] for u, ball in balls.items()}
 
     def in_order(self, order: Sequence[int]) -> list[int]:
         """Per node of order, the mask of the nodes of order it conflicts with, bit i for `order[i]`."""
@@ -71,11 +75,13 @@ class ConflictMap:
             balls = {}
             for u, near in self.links.items():
                 ball = prev[u]
-                for w in near:
-                    try:
+                try:
+                    for w in near:
                         ball |= prev[w]
-                    except KeyError:
-                        raise ValueError(f"node {w} is linked but not a key") from None
+                except KeyError:
+                    raise ValueError(f"node {w} is linked but not a key") from None
+                except TypeError:
+                    raise ValueError(f"links of node {u} must be a collection of node ids, got {near!r}") from None
                 balls[u] = ball
             if balls == prev:
                 break
@@ -129,10 +135,15 @@ class Schedule:
         if length < 0:
             raise ValueError("length must be >= 0")
         self.length = length
+        if not isinstance(allocations, Mapping):
+            raise ValueError(f"allocations must map node ids to intervals, got {type(allocations).__name__}")
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
             u = _integer(u, "node id")
-            ivs = [(_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals]
+            try:
+                ivs = [(_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals]
+            except TypeError:
+                raise ValueError(f"intervals of node {u} must be (start, width) pairs") from None
             ivs.sort()
             prev_end = -1
             for s, w in ivs:
@@ -427,9 +438,14 @@ def validate_schedule(
 
 
 def dump_schedule(schedule: Schedule, tree: SpanningTree) -> str:
-    """Header `schedule <length>`, then one `<node_id> <start:width> ...` line per non-sink node."""
+    """Header `schedule <length>`, then one `<node_id> <start:width> ...` line per node, in id order.
+
+    Every non-sink node of the tree gets a line, and so does every other
+    node with an allocation (the sink, or a node outside the tree), so
+    `parse_schedule` gives the schedule back.
+    """
     lines = [f"schedule {schedule.length}"]
-    for u in tree.non_sink_nodes():
+    for u in sorted(schedule.allocations.keys() | tree.non_sink_nodes()):
         parts = [str(u)] + [f"{s}:{w}" for s, w in schedule.allocations.get(u, [])]
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

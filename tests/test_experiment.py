@@ -175,6 +175,46 @@ def test_config_validation(tmp_path):
         _parse_rate(f"@{repeated}")  # a second line for node 1 is not a silent override
 
 
+# every rule of ExperimentConfig.validate and its exact message
+CONFIG_MESSAGES = [
+    (dict(n_values=[]), "n_values must be non-empty positive integers"),
+    (dict(n_values=[0]), "n_values must be non-empty positive integers"),
+    (dict(n_values=[5.5]), "n_values entry must be an integer, got 5.5"),
+    (dict(area=(1,)), "area must be two numbers (width, height), got (1,)"),
+    (dict(area=None), "area must be two numbers (width, height), got None"),
+    (dict(area=(0.0, 1.0)), "area dimensions must be finite and positive"),
+    (dict(range_r=0), "range must be finite and positive"),
+    (dict(range_r="0.4"), "range must be finite and positive"),
+    (dict(h=1.5), "h must be an integer, got 1.5"),
+    (dict(h=0), "h must be >= 1"),
+    (dict(max_children=2.5), "max_children must be an integer, got 2.5"),
+    (dict(max_children=0), "max_children must be >= 1"),
+    (dict(heuristic=True), "heuristic must be an integer, got True"),
+    (dict(heuristic=2.0), "heuristic must be an integer, got 2.0"),
+    (dict(heuristic=3), "heuristic must be 1 or 2"),
+    (dict(variant="all"), "variant must be a Variant"),
+    (dict(runs=True), "runs must be an integer, got True"),
+    (dict(runs=0), "runs must be >= 1"),
+    (dict(base_seed="x"), "base_seed must be an integer, got 'x'"),
+    (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
+    (dict(gen_rate=RateFile("r", [1])), "rate file rates must map node ids to rates, got [1]"),
+    (dict(gen_rate=RateFile("r", {1: 1.5})), "rate of node 1 must be an integer, got 1.5"),
+    (dict(gen_rate=RateFile("r", {1: -1})), "negative rate for node 1"),
+    (dict(gen_rate=RateFile("r", {1.5: 1})), "rate file node id must be an integer, got 1.5"),
+    (dict(gen_rate=RateFile("r", {0: 1})), "rate file names the sink or ids outside 1..7: [0]"),
+    (dict(gen_rate=True), "uniform rate must be an integer, got True"),
+    (dict(gen_rate="@r"), "uniform rate must be an integer, got '@r'"),
+    (dict(gen_rate=0), "uniform rate must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", CONFIG_MESSAGES, ids=[repr(o) for o, _ in CONFIG_MESSAGES])
+def test_config_validation_messages(overrides, message):
+    with pytest.raises(ConfigError) as caught:
+        small_config(**overrides).validate()
+    assert str(caught.value) == message
+
+
 def test_config_counts_must_be_integers():
     # unchecked, runs=1.5 and n_values=[5.5] pass validate() and then raise TypeError
     # in run_experiment, max_children=2.5, h=1.5 and a per-node rate of 1.5 or True

@@ -513,7 +513,29 @@ def test_schedule_rejects_overlapping_intervals():
             Schedule(3, bad)
     with pytest.raises(ValueError):
         Schedule(2.5, {1: [(0, 1)]})
-    assert Schedule(np.int64(3), {1: [(np.int32(0), np.int64(2))]}).allocations == {1: [(0, 2)]}
+    # exact ints and numpy integers come out alike, as plain ints
+    s = Schedule(np.int64(4), {1: [(np.int32(0), np.int64(2)), (3, 1)], np.int64(2): [(np.int64(2), 2)]})
+    assert s.allocations == {1: [(0, 2), (3, 1)], 2: [(2, 2)]}
+    assert type(s.length) is int
+    assert all(type(x) is int for u, ivs in s.allocations.items() for iv in ivs for x in (u, *iv))
+
+
+def test_malformed_schedule_and_conflict_input_are_value_errors():
+    # unchecked, the first two raised AttributeError and the rest TypeError
+    for bad in (None, [(1, 2)]):
+        with pytest.raises(ValueError, match="^allocations must map node ids to intervals"):
+            Schedule(3, bad)
+    for bad in ({1: None}, {1: [None]}, {1: [(0, 1), 5]}):
+        with pytest.raises(ValueError, match=r"^intervals of node 1 must be \(start, width\) pairs$"):
+            Schedule(3, bad)
+    with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
+        ConflictMap({1: 5, 5: 1}, 1).masks
+    with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
+        ConflictMap({1: 5, 5: 1}, 1).in_order([1, 5])
+    with pytest.raises(ValueError, match="^links must map node ids to their neighbours"):
+        ConflictMap(None, 1).masks
+    with pytest.raises(ValueError, match="^node id must be an integer, got 1.0$"):
+        ConflictMap({1.0: set()}, 1).masks
 
 
 def test_schedule_node_ids_must_be_integers(chain):
@@ -531,12 +553,20 @@ def test_schedule_node_ids_must_be_integers(chain):
 
 def test_schedule_dump_and_parse_round_trip(chain):
     _, t, cm = chain
-    s = run_trasa(t, cm, 1)
-    text = dump_schedule(s, t)
-    assert text == "schedule 3\n1 0:1 2:1\n2 1:1\n"
-    back = parse_schedule(text)
-    assert back.length == s.length
-    assert back.allocations == s.allocations
+    trasa = run_trasa(t, cm, 1)
+    # the sink and node 7, outside the tree, were dropped from the dump, and the
+    # schedule parsed back from it passed validation
+    foreign = Schedule(4, {0: [(0, 1)], 1: [(1, 1)], 2: [(2, 1)], 7: [(3, 1)]})
+    for s, expected in (
+        (trasa, "schedule 3\n1 0:1 2:1\n2 1:1\n"),
+        (foreign, "schedule 4\n0 0:1\n1 1:1\n2 2:1\n7 3:1\n"),
+    ):
+        text = dump_schedule(s, t)
+        assert text == expected
+        back = parse_schedule(text)
+        assert back.length == s.length
+        assert back.allocations == s.allocations
+    assert not validate_schedule(parse_schedule(dump_schedule(foreign, t)), cm, t).ok
 
 
 def test_rate_scaling_multiplies_the_whole_schedule():

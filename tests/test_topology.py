@@ -255,8 +255,16 @@ def test_malformed_positions_are_value_errors():
     for xy in (("0.1", "0"), (b"0.1", 0.0), (0.1, "0"), (True, 0), (0.1, np.False_)):
         with pytest.raises(ValueError, match="positions must be pairs of real numbers"):
             NetworkGraph([(0, 0), xy], 0.4, (1.0, 1.0))
-    g = NetworkGraph([(0, 0.0), (np.int64(1), np.float32(0.5)), (np.float64(0.25), 1)], 0.4, (1.0, 1.0))
-    assert g.positions == ((0.0, 0.0), (1.0, 0.5), (0.25, 1.0))
+    # exact floats and every other real come out alike: a float subclass and np.float64 are plain floats
+    class Metres(float):
+        pass
+
+    g = NetworkGraph(
+        [(0, 0.0), (np.int64(1), np.float32(0.5)), (np.float64(0.25), 1), (Metres(0.75), np.float64(0.5))],
+        0.4,
+        (1.0, 1.0),
+    )
+    assert g.positions == ((0.0, 0.0), (1.0, 0.5), (0.25, 1.0), (0.75, 0.5))
     assert all(type(c) is float for xy in g.positions for c in xy)
 
 
