@@ -12,7 +12,7 @@ import argparse
 import csv
 import hashlib
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .metrics import schedule_metrics
@@ -90,6 +90,8 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         try:
+            if not isinstance(self.n_values, Sequence):
+                raise ValueError(f"n_values must be a sequence of node counts, got {self.n_values!r}")
             if not self.n_values or any(_integer(n, "n_values entry") < 1 for n in self.n_values):
                 raise ValueError("n_values must be non-empty positive integers")
             _area(self.area)
@@ -145,18 +147,14 @@ def sample_instance(
     )
 
 
-def _schedule_point(config: ExperimentConfig, n: int, run_index: int) -> tuple[SpanningTree, Schedule, int]:
-    """Sample the (n, run_index) instance and schedule it: (tree, schedule, seed)."""
+def _run_point(config: ExperimentConfig, n: int, run_index: int) -> tuple[dict, SpanningTree, Schedule]:
+    """Sample and schedule the (n, run_index) instance: its CSV row, tree and schedule."""
     graph, tree, seed = sample_instance(config, n, run_index)
     conflicts = build_conflict_map(graph, tree, config.variant, config.h)
-    return tree, run_trasa(tree, conflicts, config.heuristic), seed
-
-
-def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
-    tree, schedule, seed = _schedule_point(config, n, run_index)
+    schedule = run_trasa(tree, conflicts, config.heuristic)
     measures = schedule_metrics(schedule, tree)
     lower, upper = schedule_length_bounds(tree)
-    return {
+    row = {
         "n": n,
         "run_index": run_index,
         "seed": seed,
@@ -173,14 +171,26 @@ def _run_point(config: ExperimentConfig, n: int, run_index: int) -> dict:
         "max_buffer": measures.max_buffer,
         "total_switches": measures.total_switches,
     }
+    return row, tree, schedule
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:
     """Produce one row per run plus one mean row (run_index -1) per node count."""
+    return _sweep(config)[0]
+
+
+def _sweep(config: ExperimentConfig) -> tuple[list[dict], SpanningTree, Schedule]:
+    """The `run_experiment` table, with the tree and schedule of its first point (for the CLI dumps)."""
     config.validate()
     table: list[dict] = []
+    first = None
     for n in config.n_values:
-        rows = [_run_point(config, n, run) for run in range(config.runs)]
+        rows = []
+        for run in range(config.runs):
+            row, tree, schedule = _run_point(config, n, run)
+            rows.append(row)
+            if first is None:
+                first = tree, schedule
         table.extend(rows)
         mean = dict(rows[0])
         mean["run_index"] = -1
@@ -188,7 +198,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for col in _MEAN_COLUMNS:
             mean[col] = sum(row[col] for row in rows) / len(rows)
         table.append(mean)
-    return table
+    return table, *first
 
 
 def _format_cell(value) -> str:
@@ -296,13 +306,11 @@ def main(argv: list[str] | None = None) -> int:
             runs=args.runs,
             base_seed=args.seed,
         )
-        table = run_experiment(config)
-        if args.dump_tree or args.dump_schedule:
-            tree, schedule, _ = _schedule_point(config, config.n_values[0], 0)
-            if args.dump_tree:
-                _dump_artifact(args.dump_tree, dump_tree(tree))
-            if args.dump_schedule:
-                _dump_artifact(args.dump_schedule, dump_schedule(schedule, tree))
+        table, tree, schedule = _sweep(config)
+        if args.dump_tree:
+            _dump_artifact(args.dump_tree, dump_tree(tree))
+        if args.dump_schedule:
+            _dump_artifact(args.dump_schedule, dump_schedule(schedule, tree))
         emit_csv(table, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Schedule metrics from per-node packet counts, and an event-driven packet replay.
 
 The metrics need no packet identities. They read `scheduler._count_walk`,
-the one count-level walk of the causality rule (`validate_schedule` reads
-it too): per tree node, one sweep over the segments between the events of
-its own and its children's intervals, giving its awake runs, its highest
-level and its faults without visiting a slot. `_node_counts` raises the
-first fault; delivery and the delay sum come from the sink's children's
+the one count-level walk of the causality rule: per tree node, one sweep
+over the segments between the events of its own and its children's
+intervals, giving its awake runs, its highest level and its faults without
+visiting a slot. The schedule keeps the walk for its tree, so
+`validate_schedule`, `replay_schedule` and `schedule_metrics` on one
+(schedule, tree) walk once between them. `_node_counts` raises the first
+fault; delivery and the delay sum come from the sink's children's
 intervals.
 
 `replay_schedule` stores the count walk's awake counts and peak in a
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .scheduler import _count_walk
 from .tree import SpanningTree
 
 if TYPE_CHECKING:
@@ -68,7 +69,7 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
     strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
-    awake, peak, faults = _count_walk(schedule, tree)
+    awake, peak, faults = schedule._counts(tree)
     if faults:
         slot, u = min((start, u) for start, _, u in faults)
         raise CausalityBreach(f"node {u} has no packet to send in slot {slot}")

@@ -15,7 +15,7 @@ makes, not the number of pending nodes.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -127,7 +127,9 @@ class Schedule:
     """A TDMA cycle as per-node allocation intervals.
 
     Each (start, width) interval means the node transmits one packet in each
-    of the `width` consecutive slots.
+    of the `width` consecutive slots. Immutable once built: its runs, and
+    the count walk against the last tree it was walked with, are computed
+    once and kept, so neither `length` nor `allocations` may change.
     """
 
     def __init__(self, length: int, allocations: dict[int, list[tuple[int, int]]]):
@@ -154,15 +156,22 @@ class Schedule:
                 prev_end = s + w
             if ivs:
                 self.allocations[u] = ivs
+        self._walk: tuple[SpanningTree, tuple[dict, int, list]] | None = None  # (tree, its count walk)
 
     def runs(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
-        """Yield (start, stop, transmitters sorted by node id) per occupied run, in slot order.
+        """Iterate (start, stop, transmitters sorted by node id) per occupied run, in slot order.
 
         A run is the span of slots between two consecutive interval start or
-        stop points, so its transmitter set is constant. The sweep drops
-        finished nodes before adding new ones, so memory grows with the
-        number of intervals, not with the cycle length.
+        stop points, so its transmitter set is constant. The runs are swept
+        once, on the first call, and kept; the sweep drops finished nodes
+        before adding new ones, so memory grows with the number of
+        intervals, not with the cycle length.
         """
+        return iter(self._runs)
+
+    @cached_property
+    def _runs(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        runs = []
         starts: dict[int, list[int]] = {}
         stops: dict[int, list[int]] = {}
         for u, intervals in self.allocations.items():
@@ -175,7 +184,19 @@ class Schedule:
             active.difference_update(stops.get(point, ()))
             active.update(starts.get(point, ()))
             if active:
-                yield point, next_point, tuple(sorted(active))
+                runs.append((point, next_point, tuple(sorted(active))))
+        return runs
+
+    def _counts(self, tree: SpanningTree) -> tuple[dict[int, int], int, list[tuple[int, int, int]]]:
+        """`_count_walk(self, tree)`, walked again only for a tree other than the last one.
+
+        The kept result holds its tree, so no later tree can reuse that
+        tree's id; each call gets a fresh awake dict and fault list.
+        """
+        if self._walk is None or self._walk[0] is not tree:
+            self._walk = (tree, _count_walk(self, tree))
+        awake, peak, faults = self._walk[1]
+        return dict(awake), peak, list(faults)
 
     def total_width(self, u: int) -> int:
         return sum(w for _, w in self.allocations.get(u, []))
@@ -207,8 +228,15 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
         raise ValueError("the sink is never scheduled")
     if u not in tree.depth:
         raise ValueError(f"node {u} not in tree")
+    return _priority_key(tree, heuristic)(u)
+
+
+def _priority_key(tree: SpanningTree, heuristic: int) -> Callable[[int], tuple[int, int, int]]:
+    """The `node_priority` key of a checked heuristic, read from the tree's tables unchecked."""
     sign = -1 if heuristic == 1 else 1
-    return (sign * tree.descendants[u], tree.depth[u], u)
+    descendants = tree.descendants
+    depth = tree.depth
+    return lambda u: (sign * descendants[u], depth[u], u)
 
 
 def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) -> Schedule:
@@ -235,10 +263,8 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
     remaining[sink] = 0
     allocations: dict[int, list[tuple[int, int]]] = {u: [] for u in tree.non_sink_nodes()}
-    order = sorted(
-        (u for u in allocations if subtree_demand(tree, u) > 0),
-        key=lambda u: node_priority(tree, u, heuristic),
-    )
+    demand = tree._demand
+    order = sorted((u for u in allocations if demand[u] > 0), key=_priority_key(tree, heuristic))
     masks = conflicts.in_order(order)
     rank_bit = {u: 1 << i for i, u in enumerate(order)}
     pending = sum(b for u, b in rank_bit.items() if remaining[u] > 0)
@@ -329,13 +355,12 @@ def _count_walk(schedule: Schedule, tree: SpanningTree) -> tuple[dict, int, list
     rate = tree.gen_rate
     sink = tree.sink
     length = schedule.length
-    depth = tree.depth
     awake: dict[int, int] = {}
     peak = 0
     lost: dict[int, list[tuple[int, int]]] = {}  # node -> its fault ranges
     if sink in allocations:
         lost[sink] = [(start, start + width) for start, width in allocations[sink]]
-    for u in sorted(depth, key=depth.__getitem__, reverse=True):
+    for u in tree._bottom_up:
         events = [(length, 0, 0)]  # (slot, change in sends, change in receives); closes the last segment
         if u != sink:
             for start, width in allocations.get(u, ()):
@@ -418,7 +443,7 @@ def validate_schedule(
         return report  # a stranger has no parent, so the walk cannot route it
 
     sink = tree.sink
-    faults = sorted((start, u, stop) for start, stop, u in _count_walk(schedule, tree)[2])
+    faults = sorted((start, u, stop) for start, stop, u in schedule._counts(tree)[2])
     for start, u, stop in faults:
         if u == sink:
             detail = "the sink must never transmit"

@@ -38,7 +38,10 @@ class SpanningTree:
     """Parent/children structure with depth, descendant and generation-rate maps.
 
     The root `sink` is always `SINK`. gen_rate(u) is the number of packets u
-    generates per cycle; the sink's rate is always 0. Immutable once built.
+    generates per cycle; the sink's rate is always 0. Immutable once built:
+    the tree takes ownership of the four maps it is given, without copying
+    them, and derives its descendant counts, subtree demands and node order
+    from them once, so neither the tree's maps nor the caller's may change.
     """
 
     def __init__(
@@ -49,14 +52,17 @@ class SpanningTree:
         gen_rate: dict[int, int],
     ):
         self.sink = SINK
-        self.parent = dict(parent)
-        self.children = {u: list(cs) for u, cs in children.items()}
-        self.depth = dict(depth)
-        self.gen_rate = dict(gen_rate)
-        self.descendants = {u: 0 for u in self.depth}
-        self._demand = {u: self.gen_rate.get(u, 0) for u in self.depth}
-        for u in sorted(self.depth, key=self.depth.__getitem__, reverse=True):  # children first
-            for c in self.children.get(u, []):
+        self.parent = parent
+        self.children = children
+        self.depth = depth
+        self.gen_rate = gen_rate
+        self._nodes = sorted(depth)
+        self._non_sink = [u for u in self._nodes if u != SINK]
+        self._bottom_up = sorted(depth, key=depth.__getitem__, reverse=True)  # children first
+        self.descendants = dict.fromkeys(depth, 0)
+        self._demand = {u: gen_rate.get(u, 0) for u in depth}
+        for u in self._bottom_up:
+            for c in children.get(u, ()):
                 self.descendants[u] += 1 + self.descendants[c]
                 self._demand[u] += self._demand[c]
 
@@ -65,13 +71,13 @@ class SpanningTree:
         return len(self.depth)
 
     def nodes(self) -> list[int]:
-        return sorted(self.depth)
+        return list(self._nodes)
 
     def non_sink_nodes(self) -> list[int]:
-        return [u for u in self.nodes() if u != self.sink]
+        return list(self._non_sink)
 
     def total_generated(self) -> int:
-        return sum(self.gen_rate[u] for u in self.non_sink_nodes())
+        return sum(self.gen_rate[u] for u in self._non_sink)
 
 
 def _normalize_rates(nodes: list[int], gen_rate) -> dict[int, int]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trasa import metrics
+from trasa import experiment_cli, metrics
 from trasa.experiment_cli import (
     CSV_COLUMNS,
     CannotSample,
@@ -119,7 +119,7 @@ def test_run_point_builds_no_id_masks(monkeypatch, tmp_path):
     emit_csv(run_experiment(small_config()), out)
     assert out.read_bytes() == (DATA / "golden_small.csv").read_bytes()
     for variant in Variant:  # the default sweep's density, where windows close early
-        row = _run_point(ExperimentConfig(n_values=[100], variant=variant), 100, 0)
+        row, _, _ = _run_point(ExperimentConfig(n_values=[100], variant=variant), 100, 0)
         assert row["cycle_length"] >= row["lower_bound"]
 
 
@@ -177,6 +177,7 @@ def test_config_validation(tmp_path):
 
 # every rule of ExperimentConfig.validate and its exact message
 CONFIG_MESSAGES = [
+    (dict(n_values=5), "n_values must be a sequence of node counts, got 5"),
     (dict(n_values=[]), "n_values must be non-empty positive integers"),
     (dict(n_values=[0]), "n_values must be non-empty positive integers"),
     (dict(n_values=[5.5]), "n_values entry must be an integer, got 5.5"),
@@ -294,6 +295,29 @@ def test_cli_dump_tree_alone_is_the_first_point(tmp_path, capsys):
     assert capsys.readouterr().out == (DATA / "golden_small.csv").read_text()
     assert tree_path.read_bytes() == _first_point_dumps(small_config())[0].encode()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.tree"]
+
+
+def test_cli_dumps_sample_no_extra_topology(monkeypatch, tmp_path, capsys):
+    # the dumps are the sweep's own first point, not a second sampling of it
+    draw = experiment_cli.generate_random_graph
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(experiment_cli, "generate_random_graph", counted)
+    args = ["--nodes", "5,8", "--range", "0.6", "--runs", "2", "--seed", "7"]
+    assert main(args) == 0
+    plain, calls = calls, 0
+    dumps = ["--dump-tree", str(tmp_path / "first.tree"), "--dump-schedule", str(tmp_path / "first.sched")]
+    assert main(args + dumps) == 0
+    assert calls == plain
+    assert capsys.readouterr().out == 2 * (DATA / "golden_small.csv").read_text()
+    tree_text, schedule_text = _first_point_dumps(small_config())
+    assert (tmp_path / "first.tree").read_bytes() == tree_text.encode()
+    assert (tmp_path / "first.sched").read_bytes() == schedule_text.encode()
 
 
 def test_cli_stdout_default(capsys):

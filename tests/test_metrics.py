@@ -20,7 +20,7 @@ from trasa.scheduler import (
     run_trasa,
     validate_schedule,
 )
-from trasa import metrics
+from trasa import metrics, scheduler
 from trasa.metrics import CausalityBreach, Metrics, compute_metrics, replay_schedule, schedule_metrics
 from trasa.topology import NetworkGraph, generate_random_graph
 
@@ -566,9 +566,9 @@ def test_replay_then_metrics_runs_one_count_walk(monkeypatch):
         variant=Variant.TREE_ONLY, gen_rate=4, runs=1,
     )
     g, t, _ = sample_instance(config, 500, 0)
-    s = run_trasa(t, build_conflict_map(g, t, Variant.TREE_ONLY, 2), 2)
-    expected = schedule_metrics(s, t)
-    walk = metrics._count_walk
+    cm = build_conflict_map(g, t, Variant.TREE_ONLY, 2)
+    s = run_trasa(t, cm, 2)
+    walk = scheduler._count_walk
     walks = 0
 
     def counted(schedule, tree):
@@ -576,12 +576,47 @@ def test_replay_then_metrics_runs_one_count_walk(monkeypatch):
         walks += 1
         return walk(schedule, tree)
 
-    monkeypatch.setattr(metrics, "_count_walk", counted)
+    monkeypatch.setattr(scheduler, "_count_walk", counted)
+    expected = schedule_metrics(s, t)
+    assert validate_schedule(s, cm, t).ok
     trace = replay_schedule(s, t)
     assert compute_metrics(trace, s, t) == expected
-    assert walks == 1  # compute_metrics reads the awake counts and peak the replay stored
+    assert walks == 1  # the schedule keeps its walk for the tree it was last walked with
     assert trace.max_buffer == expected.max_buffer
     assert metrics._replay(s, t) == trace.packet_arrivals
+    assert schedule_metrics(Schedule(s.length, s.allocations), t) == expected
+    assert walks == 2  # a new schedule walks afresh
+
+
+def test_one_schedule_checked_against_two_trees_gets_each_trees_report():
+    # node 2, then node 1 for two slots: causal on the chain 2-1-0, while on the
+    # star node 1 holds one packet for its two slots
+    graphs = {"chain": chain_graph(3), "star": star_graph(3)}
+    trees = {name: build_spanning_tree(g, max_children=3) for name, g in graphs.items()}
+    allocations = {2: [(0, 1)], 1: [(1, 2)]}
+    s = Schedule(3, allocations)
+    for name in ("chain", "star", "chain", "star"):
+        cm = build_conflict_map(graphs[name], trees[name], Variant.ALL_LINKS, 2)
+        report = validate_schedule(s, cm, trees[name])
+        assert report == validate_schedule(Schedule(3, allocations), cm, trees[name])
+        assert [v.kind for v in report.violations] == ([] if name == "chain" else [CAUSALITY])
+    assert schedule_metrics(s, trees["chain"]) == schedule_metrics(Schedule(3, allocations), trees["chain"])
+
+
+def test_kept_runs_and_walk_go_out_as_fresh_containers(chain_run):
+    t, s = chain_run
+    runs = list(s.runs())
+    consumed = s.runs()
+    assert list(consumed) == runs and list(consumed) == []
+    assert list(s.runs()) == runs  # a consumed iterator leaves the next call whole
+    trace = replay_schedule(s, t)
+    awake = dict(trace.awake_intervals)
+    trace.awake_intervals.clear()
+    assert replay_schedule(s, t).awake_intervals == awake
+    assert schedule_metrics(s, t).total_switches == sum(awake.values())
+    _, _, faults = s._counts(t)
+    faults.append((0, 1, 2))
+    assert validate_schedule(s, build_conflict_map(chain_graph(3), t, Variant.ALL_LINKS, 2), t).ok
 
 
 def test_every_violation_kind_is_reported_in_order(chain_run):
