@@ -10,15 +10,18 @@ node is scheduled, which is what makes the allocation traffic-proportional.
 that order (bit i for the i-th node) and keeps the pending nodes as one int
 bitmask in the same order. A window closes as soon as no node of its
 snapshot left to walk can join, so its cost follows the allocations it
-makes, not the number of pending nodes.
+makes, not the number of pending nodes. The conflict map keeps that
+labelling, so validating the schedule on the same map builds no other.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .topology import NetworkGraph, _integer
 from .tree import SpanningTree, subtree_demand
@@ -31,19 +34,36 @@ class Variant(Enum):
     TREE_ONLY = "tree"
 
 
+class _Labelling(NamedTuple):
+    """One bit per node, the caller's order first: bit i is `nodes[i]`, and `bit[u]` is u's bit.
+
+    `near[u]`, for each key u of the links, holds the bits of the nodes
+    within 1..h hops of u.
+    """
+
+    order: list[int]
+    nodes: list[int]
+    bit: dict[int, int]
+    near: dict[int, int]
+
+
 @dataclass(frozen=True)
 class ConflictMap:
     """Symmetric, irreflexive conflict relation: nodes within 1..h hops interfere.
 
     `links[u]` holds u's neighbours (symmetric, each one a key too), so a
-    relation given by hand is its own links at h=1. `masks[u]`, built on
-    first read, has bit v set iff u and v conflict, so node ids are
-    non-negative ints; `in_order(order)` sets bit i for `order[i]` instead.
-    Links that are not such a mapping, and a linked node that is not a key,
-    are reported as ValueError.
+    relation given by hand is its own links at h=1; they are copied on
+    construction into a read-only mapping of tuples. The map keeps one
+    labelling of its nodes, one bit each: `in_order(order)` labels `order`
+    first and every other key after it, and a later call with another order
+    replaces it. `masks`, `conflicts`, `conflicting` and `validate_schedule`
+    read the kept labelling, built in key order if none is kept. Node ids
+    are non-negative ints. Links that are not such a mapping, a key that is
+    not such an id, and a linked node that is not a key are reported as
+    ValueError, the last two when a labelling is built.
     """
 
-    links: dict[int, Collection[int]]
+    links: Mapping[int, tuple[int, ...]]
     h: int
 
     def __post_init__(self):
@@ -51,25 +71,58 @@ class ConflictMap:
             raise ValueError("h must be >= 1")
         if not isinstance(self.links, Mapping):
             raise ValueError(f"links must map node ids to their neighbours, got {type(self.links).__name__}")
+        try:
+            links = dict(zip(self.links, map(tuple, self.links.values())))
+        except TypeError:
+            u, near = next((u, near) for u, near in self.links.items() if not isinstance(near, Iterable))
+            raise ValueError(f"links of node {u} must be a collection of node ids, got {near!r}") from None
+        object.__setattr__(self, "links", MappingProxyType(links))
+        object.__setattr__(self, "_kept", None)
 
-    @cached_property
-    def masks(self) -> dict[int, int]:
-        label = {u: 1 << _integer(u, "node id") for u in self.links}
-        balls = self._balls(label)
-        return {u: ball & ~label[u] for u, ball in balls.items()}
+    def _label(self, order: Sequence[int]) -> _Labelling:
+        """The labelling with `order` first, built and kept unless the kept one has this order."""
+        order = list(order)
+        kept = self._kept
+        if kept is not None and kept.order == order:
+            return kept
+        keys = self.links.keys()
+        if not set(map(type, keys)) <= {int} or min(keys, default=0) < 0:
+            for u in keys:
+                if _integer(u, "node id") < 0:
+                    raise ValueError(f"node id must be >= 0, got {u}")
+        placed = set(order)
+        nodes = order + [u for u in keys if u not in placed]
+        bit = {u: 1 << i for i, u in enumerate(nodes)}
+        near = {u: ball & ~bit[u] for u, ball in self._balls(bit).items()}
+        kept = _Labelling(order, nodes, bit, near)
+        object.__setattr__(self, "_kept", kept)
+        return kept
+
+    def _labelling(self) -> _Labelling:
+        """The kept labelling, or a new one in key order when none is kept."""
+        return self._kept or self._label(())
 
     def in_order(self, order: Sequence[int]) -> list[int]:
         """Per node of order, the mask of the nodes of order it conflicts with, bit i for `order[i]`."""
-        balls = self._balls({u: 1 << i for i, u in enumerate(order)})
-        return [balls.get(u, 0) & ~(1 << i) for i, u in enumerate(order)]
+        near = self._label(order).near
+        everyone = (1 << len(order)) - 1
+        return [near.get(u, 0) & everyone for u in order]
 
-    def _balls(self, label: dict[int, int]) -> dict[int, int]:
-        """Each node's ball within h hops, as the OR of its members' labels.
+    @cached_property
+    def masks(self) -> dict[int, int]:
+        """Per key u, the mask with bit v set iff u and v conflict."""
+        labelling = self._labelling()
+        nodes = labelling.nodes
+        if nodes == list(range(len(nodes))):  # bit i is node i, as in key order on nodes 0..n-1
+            return dict(labelling.near)
+        return {u: sum(1 << int(nodes[i]) for i in _bits(mask)) for u, mask in labelling.near.items()}
 
-        Unlabelled nodes start at 0 but still pass their neighbours' bits on;
-        the rounds stop after h, or at the first that changes no ball.
+    def _balls(self, bit: dict[int, int]) -> dict[int, int]:
+        """Each key's ball within h hops, as the OR of its members' bits.
+
+        The rounds stop after h, or at the first that changes no ball.
         """
-        balls = {u: label.get(u, 0) for u in self.links}
+        balls = {u: bit[u] for u in self.links}
         for _ in range(self.h):
             prev = balls
             balls = {}
@@ -88,10 +141,12 @@ class ConflictMap:
         return balls
 
     def conflicts(self, u: int, v: int) -> bool:
-        return u != v and v >= 0 and self.masks.get(u, 0) >> v & 1 == 1
+        labelling = self._labelling()
+        return labelling.near.get(u, 0) & labelling.bit.get(v, 0) != 0
 
     def conflicting(self, u: int) -> frozenset[int]:
-        return frozenset(_bits(self.masks.get(u, 0)))
+        labelling = self._labelling()
+        return frozenset(labelling.nodes[i] for i in _bits(labelling.near.get(u, 0)))
 
 
 def _bits(mask: int) -> list[int]:
@@ -115,9 +170,9 @@ def build_conflict_map(
     if variant is Variant.ALL_LINKS:
         links = dict(enumerate(graph._adjacency))
     elif variant is Variant.TREE_ONLY:
-        links = {u: set(tree.children.get(u, ())) for u in tree.nodes()}
+        links = {u: tuple(tree.children.get(u, ())) for u in tree.nodes()}
         for u in tree.non_sink_nodes():
-            links[u].add(tree.parent[u])
+            links[u] += (tree.parent[u],)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return ConflictMap(links, h)
@@ -252,10 +307,11 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     snapshot does not join the running walk).
 
     The priority key is static, so the nodes that ever carry demand are
-    sorted once into `order`, and bit i of `pending` (the nodes with demand;
-    the sink has no bit) and of the conflict masks is `order[i]`. The walk
-    starts as `pending` and drops each allocated node and every node it
-    conflicts with, so a window closes once no node left in it can join.
+    sorted once into `order`, and bit i of `pending` (the nodes with demand)
+    and of the conflict masks is `order[i]`, in the labelling the map then
+    keeps for `validate_schedule`. The walk starts as `pending` and drops
+    each allocated node and every node it conflicts with, so a window
+    closes once no node left in it can join.
     """
     heuristic = _check_heuristic(heuristic)
     parent = tree.parent
@@ -266,8 +322,8 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     demand = tree._demand
     order = sorted((u for u in allocations if demand[u] > 0), key=_priority_key(tree, heuristic))
     masks = conflicts.in_order(order)
-    rank_bit = {u: 1 << i for i, u in enumerate(order)}
-    pending = sum(b for u, b in rank_bit.items() if remaining[u] > 0)
+    bit = conflicts._labelling().bit  # bit i for order[i], as in the masks
+    pending = sum(bit[u] for u in order if remaining[u] > 0)
     cycle_end = 0
 
     while pending:
@@ -286,7 +342,7 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
             p = parent[v]
             remaining[p] += demand
             if p != sink:
-                pending |= rank_bit[p]
+                pending |= bit[p]
             walk = (walk ^ low) & ~masks[i]
 
     assert remaining[sink] == tree.total_generated()
@@ -411,9 +467,11 @@ def validate_schedule(
     schedule. A violation covers slots `slot` to `stop` - 1 (None for
     DELIVERY), so the report grows with the runs and fault ranges, not the
     slots. Conflicts are checked per run of `Schedule.runs()`, a span of
-    slots with one transmitter set: its transmitters are tested pairwise
-    only when the OR of their conflict masks hits one of them, and each
-    conflicting pair is one violation for the run.
+    slots with one transmitter set, in the labelling the map keeps (the
+    one `run_trasa` made, if it ran on this map): its transmitters are
+    tested pairwise, each pair both ways, only when the OR of their
+    conflict masks hits one of them, and each conflicting pair is one
+    violation for the run.
 
     Causality is one violation per `_count_walk` fault range, and the sink
     receives what its children send outside theirs. A schedule naming nodes
@@ -427,15 +485,22 @@ def validate_schedule(
         detail = f"node {u} transmits but is not in the tree"
         report.violations.append(Violation(CAUSALITY, first_slot, first_slot + 1, (u,), detail))
 
-    masks = conflicts.masks
+    labelling = conflicts._labelling()
+    bit, near = labelling.bit, labelling.near
     for start, stop, txs in schedule.runs():
         present = blocked = 0
         for u in txs:
-            if u in masks:  # mask keys are node ids >= 0; others never conflict
-                present |= 1 << u
-                blocked |= masks[u]
+            if u in near:  # the keys of the links; other nodes never conflict
+                present |= bit[u]
+                blocked |= near[u]
         if blocked & present:
-            pairs = [(u, v) for i, u in enumerate(txs) for v in txs[i + 1 :] if conflicts.conflicts(u, v)]
+            # a relation given by hand may be one-sided: a pair conflicts if either node holds the other
+            pairs = [
+                (u, v)
+                for i, u in enumerate(txs)
+                for v in txs[i + 1 :]
+                if conflicts.conflicts(u, v) or conflicts.conflicts(v, u)
+            ]
             for u, v in pairs:
                 detail = f"nodes {u} and {v} interfere in slots {start}..{stop - 1}"
                 report.violations.append(Violation(CONFLICT, start, stop, (u, v), detail))

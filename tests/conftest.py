@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from trasa.scheduler import ConflictMap
 from trasa.topology import NetworkGraph, generate_random_graph
 from trasa.tree import Disconnected, Infeasible, build_spanning_tree
 
@@ -40,3 +41,16 @@ def random_tree(rng, n_range, rate, range_r=None):
             return g, build_spanning_tree(g, max_children=rng.randint(2, 4), gen_rate=gen_rate)
         except (Disconnected, Infeasible):
             continue
+
+
+def count_ball_builds(monkeypatch):
+    """A list that gains one entry per `ConflictMap._balls` run, i.e. per labelling built."""
+    calls = []
+    balls = ConflictMap._balls
+
+    def counted(self, *args):
+        calls.append(self)
+        return balls(self, *args)
+
+    monkeypatch.setattr(ConflictMap, "_balls", counted)
+    return calls

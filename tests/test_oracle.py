@@ -8,7 +8,7 @@ import pytest
 
 from trasa.topology import NetworkGraph, generate_random_graph, is_connected
 from trasa.tree import Disconnected, Infeasible, build_spanning_tree, subtree_demand
-from trasa.scheduler import Variant, _bits, build_conflict_map, run_trasa, validate_schedule
+from trasa.scheduler import Variant, _bits, build_conflict_map, node_priority, run_trasa, validate_schedule
 from trasa import oracle
 from trasa.oracle import (
     Coloring,
@@ -20,7 +20,7 @@ from trasa.oracle import (
     validate_coloring,
 )
 
-from conftest import chain_graph, star_graph
+from conftest import chain_graph, count_ball_builds, star_graph
 
 
 def _brute_force_minimum(tree, conflicts) -> int:
@@ -516,3 +516,18 @@ def test_zero_demand_nodes_stay_uncolored():
     assert validate_coloring(coloring, cm, t)
     rebuilt = coloring_to_schedule(coloring, t, cm)
     assert validate_schedule(rebuilt, cm, t).ok
+
+
+def test_oracle_instance_pipeline_builds_one_labelling_per_order(monkeypatch):
+    calls = count_ball_builds(monkeypatch)
+    # the benchmark's oracle pipeline on one map: greedy, optimum, coloring round trip, two validations
+    g = chain_graph(6)
+    t = build_spanning_tree(g, max_children=3)
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+    greedy = run_trasa(t, cm, 2)  # leaves first, so its order is not the buffer order
+    assert sorted(t.non_sink_nodes(), key=lambda u: node_priority(t, u, 2)) != t.non_sink_nodes()
+    optimum = optimal_schedule_length(t, cm)
+    rebuilt = coloring_to_schedule(schedule_to_coloring(greedy, t, cm), t, cm)
+    assert validate_schedule(greedy, cm, t).ok and validate_schedule(rebuilt, cm, t).ok
+    assert optimum <= greedy.length
+    assert len(calls) == 2  # the id masks for the coloring check and the validations were a third

@@ -18,6 +18,7 @@ from trasa.scheduler import (
     ConflictMap,
     Schedule,
     Variant,
+    Violation,
     build_conflict_map,
     dump_schedule,
     node_priority,
@@ -27,7 +28,7 @@ from trasa.scheduler import (
     validate_schedule,
 )
 
-from conftest import chain_graph, random_tree, star_graph
+from conftest import chain_graph, count_ball_builds, random_tree, star_graph
 
 
 @pytest.fixture
@@ -312,6 +313,170 @@ def test_conflict_map_checks_its_own_input():
         cm.masks
     with pytest.raises(ValueError, match="^node 2 is linked but not a key$"):
         cm.in_order([1])
+
+
+def test_one_node_id_rule_for_every_reader():
+    # unchecked, masks leaked "negative shift count", in_order([2, -1]) gave [2, 1] and
+    # conflicts(2, -1) gave False: every reader builds the one labelling, which checks the keys
+    g = NetworkGraph([(0, 0), (0.1, 0), (0.2, 0)], 0.15, (1, 1))
+    t = build_spanning_tree(g, max_children=3)
+    s = Schedule(3, {1: [(1, 2)], 2: [(0, 1)]})
+    for links, message in (
+        ({-1: {2}, 2: {-1}}, "^node id must be >= 0, got -1$"),
+        ({1.0: {2}, 2: {1.0}}, "^node id must be an integer, got 1.0$"),
+        ({True: {2}, 2: {True}}, "^node id must be an integer, got True$"),
+    ):
+        cm = ConflictMap(links, 1)
+        for read in (
+            lambda: cm.masks,
+            lambda: cm.in_order([2, -1]),
+            lambda: cm.conflicts(2, -1),
+            lambda: cm.conflicting(2),
+            lambda: validate_schedule(s, cm, t),
+            lambda: run_trasa(t, cm, 1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                read()
+    # numpy integer ids are ids; the views answer in plain ints
+    cm = ConflictMap({np.int64(1): {np.int64(2)}, np.int64(2): {np.int64(1)}}, 1)
+    assert cm.masks == {1: 0b100, 2: 0b10} and cm.in_order([2, 1]) == [0b10, 0b1]
+    assert cm.conflicts(1, 2) and cm.conflicting(1) == {2}
+
+
+def test_conflict_map_links_are_frozen():
+    links = {1: {2}, 2: {1}}
+    cm = ConflictMap(links, 1)
+    with pytest.raises(TypeError):
+        cm.links[3] = {1}  # unfrozen, in_order([1, 2, 3]) then gave an asymmetric [2, 1, 1]
+    with pytest.raises(AttributeError):
+        cm.links[1].add(3)
+    # the map copied its input: later changes to it reach no answer
+    links[1].add(3)
+    links[3] = {1}
+    assert dict(cm.links) == {1: (2,), 2: (1,)}
+    assert cm.in_order([1, 2, 3]) == [0b10, 0b1, 0]
+    # build_conflict_map hands over tuples: the graph's own, or the tree's links built as tuples
+    g, t = random_tree(random.Random(8), (20, 30), 1)
+    all_links = build_conflict_map(g, t, Variant.ALL_LINKS, 2).links
+    tree_links = build_conflict_map(g, t, Variant.TREE_ONLY, 2).links
+    assert all(type(near) is tuple for near in (*all_links.values(), *tree_links.values()))
+    assert dict(all_links) == {u: g.neighbors(u) for u in range(g.n)}
+    assert {u: set(near) for u, near in tree_links.items()} == _tree_links(t)
+
+
+def test_validation_tests_a_flagged_pair_both_ways():
+    g = NetworkGraph([(0, 0), (0.1, 0), (0.2, 0)], 0.15, (1, 1))
+    t = build_spanning_tree(g, max_children=3)
+    s = Schedule(3, {1: [(1, 2)], 2: [(0, 1), (1, 1)]})
+    # a one-sided relation given by hand: only the pair's second node holds the first, then the mirror
+    one_way = ConflictMap({0: set(), 1: set(), 2: {1}}, 1)
+    mirrored = ConflictMap({0: set(), 1: {2}, 2: set()}, 1)
+    assert one_way.conflicts(2, 1) and not one_way.conflicts(1, 2)
+    reports = [validate_schedule(s, cm, t).violations for cm in (one_way, mirrored)]
+    assert reports[0] == reports[1]
+    assert [(v.kind, v.slot, v.stop, v.nodes) for v in reports[0] if v.kind == CONFLICT] == [(CONFLICT, 1, 2, (1, 2))]
+
+
+def test_schedule_validate_and_queries_share_one_ball_build(monkeypatch):
+    calls = count_ball_builds(monkeypatch)
+    g, t = random_tree(random.Random(3131), (30, 40), "mixed")
+    cm = build_conflict_map(g, t, Variant.ALL_LINKS, 2)
+    assert validate_schedule(run_trasa(t, cm, 1), cm, t).ok
+    pairs = {(u, v) for u, v in itertools.permutations(range(g.n), 2) if cm.conflicts(u, v)}
+    assert pairs == {(u, v) for u in range(g.n) for v in cm.conflicting(u)}
+    assert pairs == {(u, v) for u, mask in cm.masks.items() for v in range(g.n) if mask >> v & 1}
+    assert len(calls) == 1  # the id masks were a second build
+    # an equal order reuses the kept labelling; another order replaces it, with the same answers
+    order = t.non_sink_nodes()
+    masks = cm.in_order(order)
+    assert cm.in_order(list(order)) == masks and len(calls) == 2
+    assert {(u, v) for u, v in itertools.permutations(range(g.n), 2) if cm.conflicts(u, v)} == pairs
+    assert len(calls) == 2
+
+
+def _id_mask_validate(schedule, masks, tree):
+    """The validator as it was before maps kept a labelling: conflicts tested on masks by node id.
+
+    masks[u] has bit v set iff u and v conflict; each pair of a flagged run
+    is tested one way only, which is exact on a symmetric relation.
+    """
+    violations = []
+    strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
+    for u in strangers:
+        first_slot = schedule.allocations[u][0][0]
+        detail = f"node {u} transmits but is not in the tree"
+        violations.append(Violation(CAUSALITY, first_slot, first_slot + 1, (u,), detail))
+    for start, stop, txs in schedule.runs():
+        present = blocked = 0
+        for u in txs:
+            if u in masks:
+                present |= 1 << u
+                blocked |= masks[u]
+        if blocked & present:
+            for i, u in enumerate(txs):
+                for v in txs[i + 1 :]:
+                    if v >= 0 and masks.get(u, 0) >> v & 1:
+                        detail = f"nodes {u} and {v} interfere in slots {start}..{stop - 1}"
+                        violations.append(Violation(CONFLICT, start, stop, (u, v), detail))
+    if strangers:
+        return violations
+    sink = tree.sink
+    faults = sorted((start, u, stop) for start, stop, u in schedule._counts(tree)[2])
+    for start, u, stop in faults:
+        if u == sink:
+            detail = "the sink must never transmit"
+        else:
+            detail = f"node {u} transmits with an empty buffer in slots {start}..{stop - 1}"
+        violations.append(Violation(CAUSALITY, start, stop, (u,), detail))
+    sent = sum(schedule.total_width(v) for v in tree.children.get(sink, ()))
+    delivered = sent - sum(stop - start for start, u, stop in faults if tree.parent.get(u) == sink)
+    expected = tree.total_generated()
+    if delivered != expected:
+        violations.append(Violation(DELIVERY, None, None, (), f"sink received {delivered} of {expected} packets"))
+    return violations
+
+
+def _random_schedule(rng, tree, strangers):
+    """Random intervals on a random set of tree nodes, now and then with the sink or strangers."""
+    length = rng.randint(1, 9)
+    pool = tree.non_sink_nodes()
+    senders = rng.sample(pool, rng.randint(0, len(pool)))
+    senders += [u for u in (tree.sink, *strangers) if rng.random() < 0.15]
+    allocations = {}
+    for u in senders:
+        intervals, start = [], rng.randrange(length)
+        while start < length:
+            width = rng.randint(1, length - start)
+            intervals.append((start, width))
+            start += width + rng.randint(0, 3)
+        allocations[u] = intervals
+    return Schedule(length, allocations)
+
+
+def test_kept_labellings_validate_like_the_id_masks():
+    rng = random.Random(3100)
+    compared = flagged = 0
+    for variant, h, rate in itertools.product(Variant, (1, 2, 3), (1, 2, "mixed")):
+        for _ in range(10):
+            g, t = random_tree(rng, (2, 30), rate)
+            adjacency = {u: g.neighbors(u) for u in range(g.n)} if variant is Variant.ALL_LINKS else _tree_links(t)
+            masks = {u: sum(1 << v for v in near) for u, near in _reference_relation(adjacency, h).items()}
+            by_priority = build_conflict_map(g, t, variant, h)
+            greedy = run_trasa(t, by_priority, rng.choice((1, 2)))
+            priority_order = by_priority._kept.order  # the nodes with demand; relays and the sink come after
+            by_buffer = build_conflict_map(g, t, variant, h)
+            by_buffer.in_order(t.non_sink_nodes())
+            schedules = [greedy] + [_random_schedule(rng, t, (g.n + 3, -1)) for _ in range(50)]
+            for s in schedules:
+                expected = _id_mask_validate(s, masks, t)
+                for cm in (by_priority, by_buffer, build_conflict_map(g, t, variant, h)):
+                    assert validate_schedule(s, cm, t).violations == expected, (variant, h, s.allocations)
+                compared += 1
+                flagged += any(v.kind == CONFLICT for v in expected)
+            # validation read the labellings it found, and replaced none
+            assert by_priority._kept.order == priority_order
+            assert by_buffer._kept.order == t.non_sink_nodes()
+    assert compared >= 9000 and flagged > compared // 4, (compared, flagged)
 
 
 def test_trasa_without_conflicts_reads_live_demand():
