@@ -22,9 +22,11 @@ from trasa.experiment_cli import (
     run_experiment,
     sample_instance,
 )
-from trasa.scheduler import ConflictMap, Variant, build_conflict_map, dump_schedule, run_trasa
+from trasa.scheduler import Variant, build_conflict_map, dump_schedule, run_trasa
 from trasa.topology import is_connected
 from trasa.tree import dump_tree
+
+from conftest import count_ball_builds
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,18 +111,19 @@ def test_csv_path_builds_no_packets(monkeypatch, tmp_path, config, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
-def test_run_point_builds_no_id_masks(monkeypatch, tmp_path):
-    # the CSV path reads the conflict relation only in run_trasa's priority order
-    def refuse(_self):
-        raise AssertionError("the CSV path built id-space conflict masks")
-
-    monkeypatch.setattr(ConflictMap, "masks", property(refuse))
+def test_run_point_builds_one_labelling(monkeypatch, tmp_path):
+    # the CSV path labels each point's conflict map once, in run_trasa's priority order
+    calls = count_ball_builds(monkeypatch)
     out = tmp_path / "sweep.csv"
-    emit_csv(run_experiment(small_config()), out)
+    config = small_config()
+    emit_csv(run_experiment(config), out)
     assert out.read_bytes() == (DATA / "golden_small.csv").read_bytes()
+    assert len(calls) == len(set(map(id, calls))) == len(config.n_values) * config.runs
     for variant in Variant:  # the default sweep's density, where windows close early
+        calls.clear()
         row, _, _ = _run_point(ExperimentConfig(n_values=[100], variant=variant), 100, 0)
         assert row["cycle_length"] >= row["lower_bound"]
+        assert len(calls) == 1
 
 
 def test_csv_line_count_for_forty_runs(tmp_path):

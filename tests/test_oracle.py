@@ -119,9 +119,9 @@ def _node_maximal_sets(eligible, conflicts) -> list[tuple[int, ...]]:
     one, so the compatibility masks hold bits outside the eligible mask too.
     The enumerator is looked up on each call, so a patched one is used.
     """
-    top = max([*conflicts.masks, *eligible], default=-1) + 1
+    top = max([*conflicts.links, *eligible], default=-1) + 1
     everyone = (1 << top) - 1
-    compatible = [everyone & ~conflicts.masks.get(u, 0) & ~(1 << u) for u in range(top)]
+    compatible = [everyone & ~mask & ~(1 << u) for u, mask in enumerate(conflicts.in_order(range(top)))]
     return [tuple(_bits(s)) for s in oracle._maximal_independent_sets(sum(1 << u for u in eligible), compatible)]
 
 
@@ -253,7 +253,8 @@ def _funnel_clique_bound(tree, conflicts):
     """
     order = tree.non_sink_nodes()
     nodes = sum(1 << u for u in order)
-    cliques = oracle._maximal_cliques(nodes, {u: conflicts.masks.get(u, 0) & nodes for u in order})
+    masks = conflicts.in_order(range(tree.n))
+    cliques = oracle._maximal_cliques(nodes, {u: masks[u] & nodes for u in order})
     members = [[i for i, u in enumerate(order) if k >> u & 1] for k in cliques]
     return lambda funnel: max((sum(funnel[i] for i in k) for k in members), default=0)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from trasa.experiment_cli import ExperimentConfig, RateFile, sample_instance
+from trasa.oracle import Coloring, InvalidColoring, coloring_to_schedule, validate_coloring
 from trasa.topology import NetworkGraph, generate_random_graph
 from trasa.tree import build_spanning_tree, subtree_demand
 from trasa.scheduler import (
@@ -175,13 +176,14 @@ def test_bitmask_conflict_map_matches_per_node_bfs():
                 cm = build_conflict_map(g, t, variant, h)
                 expected = _reference_relation(adjacency, h)
                 assert {u: cm.conflicting(u) for u in range(g.n)} == expected
+                masks = cm.in_order(range(g.n))
                 for u, v in itertools.permutations(range(g.n), 2):
                     assert cm.conflicts(u, v) == (v in expected[u])
-                    assert cm.masks[u] >> v & 1 == cm.masks[v] >> u & 1  # symmetric
+                    assert masks[u] >> v & 1 == masks[v] >> u & 1  # symmetric
 
 
 def _traced_build(graph, tree, variant, h):
-    """`build_conflict_map(graph, tree, variant, h)` and the number of Python lines it and both of its views ran."""
+    """`build_conflict_map(graph, tree, variant, h)` and the number of Python lines it and its id-order labelling ran."""
     lines = 0
 
     def count_lines(frame, event, arg):
@@ -193,7 +195,7 @@ def _traced_build(graph, tree, variant, h):
     sys.settrace(count_lines)
     try:
         cm = build_conflict_map(graph, tree, variant, h)
-        cm.masks, cm.in_order(range(graph.n))  # the ball rounds run when a view is read
+        cm.in_order(range(graph.n))  # the ball rounds run when a labelling is built
     finally:
         sys.settrace(previous)
     return cm, lines
@@ -206,7 +208,7 @@ def test_conflict_map_stops_once_no_ball_grows():
     t = build_spanning_tree(g, max_children=3)
     for variant in Variant:
         cm, lines = _traced_build(g, t, variant, 10**5)
-        assert cm.masks == build_conflict_map(g, t, variant, 3).masks
+        assert cm.in_order(range(4)) == build_conflict_map(g, t, variant, 3).in_order(range(4))
         assert lines < 500
 
 
@@ -298,7 +300,7 @@ def test_in_order_masks_match_the_id_relation():
     # a relation given by hand is its own links at h=1; nodes without links conflict with none
     cm = ConflictMap({1: {2}, 2: {1, 3}, 3: {2}}, 1)
     assert cm.in_order([3, 2, 1, 7]) == [0b10, 0b101, 0b10, 0]
-    assert cm.masks == {1: 0b100, 2: 0b1010, 3: 0b100}
+    assert cm.in_order(range(4)) == [0, 0b100, 0b1010, 0b100]
 
 
 def test_conflict_map_checks_its_own_input():
@@ -306,17 +308,17 @@ def test_conflict_map_checks_its_own_input():
     for bad, message in ((0, "h must be >= 1"), (-3, "h must be >= 1"), (1.5, "h must be an integer"), (True, "h must be an integer")):
         with pytest.raises(ValueError, match=message):
             ConflictMap({1: {2}, 2: {1}}, bad)
-    assert ConflictMap({1: {2}, 2: {1}}, np.int64(2)).masks == {1: 0b100, 2: 0b10}
+    assert ConflictMap({1: {2}, 2: {1}}, np.int64(2)).in_order(range(3)) == [0, 0b100, 0b10]
     # a link to a node that is not a key raised KeyError, on either read
     cm = ConflictMap({1: {2}}, 1)
     with pytest.raises(ValueError, match="^node 2 is linked but not a key$"):
-        cm.masks
+        cm.conflicting(1)
     with pytest.raises(ValueError, match="^node 2 is linked but not a key$"):
         cm.in_order([1])
 
 
 def test_one_node_id_rule_for_every_reader():
-    # unchecked, masks leaked "negative shift count", in_order([2, -1]) gave [2, 1] and
+    # unchecked, id masks leaked "negative shift count", in_order([2, -1]) gave [2, 1] and
     # conflicts(2, -1) gave False: every reader builds the one labelling, which checks the keys
     g = NetworkGraph([(0, 0), (0.1, 0), (0.2, 0)], 0.15, (1, 1))
     t = build_spanning_tree(g, max_children=3)
@@ -328,7 +330,7 @@ def test_one_node_id_rule_for_every_reader():
     ):
         cm = ConflictMap(links, 1)
         for read in (
-            lambda: cm.masks,
+            lambda: cm.in_order(range(3)),
             lambda: cm.in_order([2, -1]),
             lambda: cm.conflicts(2, -1),
             lambda: cm.conflicting(2),
@@ -339,7 +341,7 @@ def test_one_node_id_rule_for_every_reader():
                 read()
     # numpy integer ids are ids; the views answer in plain ints
     cm = ConflictMap({np.int64(1): {np.int64(2)}, np.int64(2): {np.int64(1)}}, 1)
-    assert cm.masks == {1: 0b100, 2: 0b10} and cm.in_order([2, 1]) == [0b10, 0b1]
+    assert cm.in_order(range(3)) == [0, 0b100, 0b10] and cm.in_order([2, 1]) == [0b10, 0b1]
     assert cm.conflicts(1, 2) and cm.conflicting(1) == {2}
 
 
@@ -371,10 +373,22 @@ def test_validation_tests_a_flagged_pair_both_ways():
     # a one-sided relation given by hand: only the pair's second node holds the first, then the mirror
     one_way = ConflictMap({0: set(), 1: set(), 2: {1}}, 1)
     mirrored = ConflictMap({0: set(), 1: {2}, 2: set()}, 1)
-    assert one_way.conflicts(2, 1) and not one_way.conflicts(1, 2)
+    assert one_way.conflicts(2, 1) == one_way.conflicts(1, 2)  # one pair rule, whichever node holds the other
     reports = [validate_schedule(s, cm, t).violations for cm in (one_way, mirrored)]
     assert reports[0] == reports[1]
     assert [(v.kind, v.slot, v.stop, v.nodes) for v in reports[0] if v.kind == CONFLICT] == [(CONFLICT, 1, 2, (1, 2))]
+    # two sink children out of each other's range: the coloring check reads the same pair rule
+    star = build_spanning_tree(NetworkGraph([(0.5, 0.5), (0.4, 0.5), (0.6, 0.5)], 0.15, (1, 1)), max_children=3)
+    coloring = Coloring({1: 1, 2: 1})
+    for cm in (one_way, mirrored):
+        assert not validate_coloring(coloring, cm, star)
+        with pytest.raises(InvalidColoring):
+            coloring_to_schedule(coloring, star, cm)
+        assert cm.conflicts(1, 2) == cm.conflicts(2, 1)
+    # run_trasa reads links as given, so on one_way's it packs both children into slot 0
+    packed = run_trasa(star, one_way, 1)
+    assert packed.allocations == {1: [(0, 1)], 2: [(0, 1)]}
+    assert [v.nodes for v in validate_schedule(packed, one_way, star).of_kind(CONFLICT)] == [(1, 2)]
 
 
 def test_schedule_validate_and_queries_share_one_ball_build(monkeypatch):
@@ -384,14 +398,17 @@ def test_schedule_validate_and_queries_share_one_ball_build(monkeypatch):
     assert validate_schedule(run_trasa(t, cm, 1), cm, t).ok
     pairs = {(u, v) for u, v in itertools.permutations(range(g.n), 2) if cm.conflicts(u, v)}
     assert pairs == {(u, v) for u in range(g.n) for v in cm.conflicting(u)}
-    assert pairs == {(u, v) for u, mask in cm.masks.items() for v in range(g.n) if mask >> v & 1}
-    assert len(calls) == 1  # the id masks were a second build
+    assert len(calls) == 1  # validation and both queries read run_trasa's labelling
     # an equal order reuses the kept labelling; another order replaces it, with the same answers
     order = t.non_sink_nodes()
     masks = cm.in_order(order)
     assert cm.in_order(list(order)) == masks and len(calls) == 2
     assert {(u, v) for u, v in itertools.permutations(range(g.n), 2) if cm.conflicts(u, v)} == pairs
     assert len(calls) == 2
+    # labelled by id, bit v of node u's mask is the pair (u, v)
+    masks = cm.in_order(range(g.n))
+    assert {(u, v) for u, mask in enumerate(masks) for v in range(g.n) if mask >> v & 1} == pairs
+    assert len(calls) == 3
 
 
 def _id_mask_validate(schedule, masks, tree):
@@ -694,13 +711,13 @@ def test_malformed_schedule_and_conflict_input_are_value_errors():
         with pytest.raises(ValueError, match=r"^intervals of node 1 must be \(start, width\) pairs$"):
             Schedule(3, bad)
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
-        ConflictMap({1: 5, 5: 1}, 1).masks
+        ConflictMap({1: 5, 5: 1}, 1).conflicts(1, 5)
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
         ConflictMap({1: 5, 5: 1}, 1).in_order([1, 5])
     with pytest.raises(ValueError, match="^links must map node ids to their neighbours"):
-        ConflictMap(None, 1).masks
+        ConflictMap(None, 1).conflicting(1)
     with pytest.raises(ValueError, match="^node id must be an integer, got 1.0$"):
-        ConflictMap({1.0: set()}, 1).masks
+        ConflictMap({1.0: set()}, 1).conflicting(1)
 
 
 def test_schedule_node_ids_must_be_integers(chain):
