@@ -25,7 +25,7 @@ from .scheduler import (
     run_trasa,
     schedule_length_bounds,
 )
-from .topology import NetworkGraph, _area, _integer, _positive_real, generate_random_graph
+from .topology import NetworkGraph, _area, _at_least, _integer, _positive_real, generate_random_graph
 from .tree import Disconnected, Infeasible, SpanningTree, build_spanning_tree, dump_tree
 
 
@@ -97,15 +97,12 @@ class ExperimentConfig:
             _area(self.area)
             if not _positive_real(self.range_r):
                 raise ValueError("range must be finite and positive")
-            if _integer(self.h, "h") < 1:
-                raise ValueError("h must be >= 1")
-            if _integer(self.max_children, "max_children") < 1:
-                raise ValueError("max_children must be >= 1")
+            _at_least(self.h, "h", 1)
+            _at_least(self.max_children, "max_children", 1)
             _check_heuristic(self.heuristic)
             if not isinstance(self.variant, Variant):
                 raise ValueError("variant must be a Variant")
-            if _integer(self.runs, "runs") < 1:
-                raise ValueError("runs must be >= 1")
+            _at_least(self.runs, "runs", 1)
             _integer(self.base_seed, "base_seed")
             if isinstance(self.gen_rate, RateFile):
                 rates, top = self.gen_rate.rates, max(self.n_values)
@@ -117,8 +114,8 @@ class ExperimentConfig:
                 bad = sorted(u for u in rates if not 0 < _integer(u, "rate file node id") < top)
                 if bad:
                     raise ValueError(f"rate file names the sink or ids outside 1..{top - 1}: {bad}")
-            elif _integer(self.gen_rate, "uniform rate") < 1:
-                raise ValueError("uniform rate must be >= 1")
+            else:
+                _at_least(self.gen_rate, "uniform rate", 1)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -23,8 +23,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .topology import NetworkGraph, _integer
-from .tree import SpanningTree, subtree_demand
+from .topology import NetworkGraph, _at_least, _integer
+from .tree import SpanningTree
 
 
 class Variant(Enum):
@@ -77,8 +77,7 @@ class ConflictMap:
     h: int
 
     def __post_init__(self):
-        if _integer(self.h, "h") < 1:
-            raise ValueError("h must be >= 1")
+        _at_least(self.h, "h", 1)
         if not isinstance(self.links, Mapping):
             raise ValueError(f"links must map node ids to their neighbours, got {type(self.links).__name__}")
         try:
@@ -96,10 +95,9 @@ class ConflictMap:
         if kept is not None and kept.order == order:
             return kept
         keys = self.links.keys()
-        if not set(map(type, keys)) <= {int} or min(keys, default=0) < 0:
-            for u in keys:
-                if _integer(u, "node id") < 0:
-                    raise ValueError(f"node id must be >= 0, got {u}")
+        for u in keys:
+            if _integer(u, "node id") < 0:
+                raise ValueError(f"node id must be >= 0, got {u}")
         placed = set(order)
         nodes = order + [u for u in keys if u not in placed]
         bit = {u: 1 << i for i, u in enumerate(nodes)}
@@ -191,9 +189,7 @@ class Schedule:
     """
 
     def __init__(self, length: int, allocations: dict[int, list[tuple[int, int]]]):
-        length = _integer(length, "length")
-        if length < 0:
-            raise ValueError("length must be >= 0")
+        length = _at_least(length, "length", 0)
         self.length = length
         if not isinstance(allocations, Mapping):
             raise ValueError(f"allocations must map node ids to intervals, got {type(allocations).__name__}")
@@ -281,12 +277,7 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
     then node id in both, giving a total order.
     """
     heuristic = _check_heuristic(heuristic)
-    u = _integer(u, "node id")
-    if u == tree.sink:
-        raise ValueError("the sink is never scheduled")
-    if u not in tree.depth:
-        raise ValueError(f"node {u} not in tree")
-    return _priority_key(tree, heuristic)(u)
+    return _priority_key(tree, heuristic)(tree._check_non_sink(u))
 
 
 def _priority_key(tree: SpanningTree, heuristic: int) -> Callable[[int], tuple[int, int, int]]:
@@ -356,11 +347,12 @@ def schedule_length_bounds(tree: SpanningTree) -> tuple[int, int]:
     """Lower and upper bounds on any valid cycle length for this tree.
 
     Lower: everything must funnel through the sink's children one at a time,
-    so it is the sum of their subtree demands (n-1 at uniform unit rate; at
-    h=1 non-adjacent sink children may share slots and beat this, see tests).
+    so it is the sum of their subtree demands, which on a spanning tree is
+    every generated packet (n-1 at uniform unit rate; at h=1 non-adjacent
+    sink children may share slots and beat this, see tests).
     Upper: one slot per single-hop transmission, i.e. sum of rate * depth.
     """
-    lower = sum(subtree_demand(tree, c) for c in tree.children.get(tree.sink, []))
+    lower = tree.total_generated()
     upper = sum(tree.gen_rate[u] * tree.depth[u] for u in tree.non_sink_nodes())
     return lower, upper
 

@@ -88,6 +88,14 @@ def _integer(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
+def _at_least(value, what: str, low: int) -> int:
+    """value as an int if it is integral and at least low, else ValueError."""
+    value = _integer(value, what)
+    if value < low:
+        raise ValueError(f"{what} must be >= {low}")
+    return value
+
+
 def _positive_real(value) -> bool:
     """True iff value is a finite real number above zero; a bool or a numeric string is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value > 0
@@ -160,10 +168,8 @@ def generate_random_graph(
     (PCG64) seeded with `seed`; identical inputs give a bit-identical graph.
     Connectivity is not enforced here, check is_connected separately.
     """
-    n = _integer(n, "n")
+    n = _at_least(n, "n", 1)
     seed = _integer(seed, "seed")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     width, height = _area(area)
     rng = np.random.default_rng(seed)
     unit = rng.random((n, 2))
@@ -177,9 +183,7 @@ def within_h_hops(graph: NetworkGraph, u: int, v: int, h: int) -> bool:
     v = graph._check_node(v)
     if u == v:
         raise ValueError("within_h_hops is defined between distinct nodes")
-    h = _integer(h, "h")
-    if h < 1:
-        raise ValueError("h must be >= 1")
+    h = _at_least(h, "h", 1)
     return hop_distances_from(graph._adjacency, u).get(v, h + 1) <= h
 
 

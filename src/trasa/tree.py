@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .topology import SINK, NetworkGraph, _integer, is_connected
+from .topology import SINK, NetworkGraph, _at_least, _integer, is_connected
 
 
 class Disconnected(ValueError):
@@ -79,6 +79,15 @@ class SpanningTree:
     def total_generated(self) -> int:
         return sum(self.gen_rate[u] for u in self._non_sink)
 
+    def _check_non_sink(self, u) -> int:
+        """u as a node id of this tree other than the sink, else ValueError."""
+        u = _integer(u, "node id")
+        if u == self.sink:
+            raise ValueError("the sink never transmits and has no traffic demand")
+        if u not in self.depth:
+            raise ValueError(f"node {u} not in tree")
+        return u
+
 
 def _normalize_rates(nodes: list[int], gen_rate) -> dict[int, int]:
     if isinstance(gen_rate, Mapping):
@@ -104,9 +113,7 @@ def build_spanning_tree(
     Infeasible when the attachment rule dead-ends (every neighbor of some
     unattached node is full); callers typically resample the topology then.
     """
-    max_children = _integer(max_children, "max_children")
-    if max_children < 1:
-        raise ValueError("max_children must be >= 1")
+    max_children = _at_least(max_children, "max_children", 1)
     n = graph.n
     adjacency = graph._adjacency
     parent: dict[int, int] = {}
@@ -147,12 +154,7 @@ def build_spanning_tree(
 
 def subtree_demand(tree: SpanningTree, u: int) -> int:
     """Packets u must forward per cycle: its own plus everything generated below it."""
-    u = _integer(u, "node id")
-    if u == tree.sink:
-        raise ValueError("the sink never transmits and has no traffic demand")
-    if u not in tree.depth:
-        raise ValueError(f"node {u} not in tree")
-    return tree._demand[u]
+    return tree._demand[tree._check_non_sink(u)]
 
 
 def dump_tree(tree: SpanningTree) -> str:

@@ -65,12 +65,12 @@ def test_priority_orders_chain_nodes(chain):
     _, t, _ = chain
     assert node_priority(t, 1, 1) < node_priority(t, 2, 1)  # more descendants first
     assert node_priority(t, 2, 2) < node_priority(t, 1, 2)  # reversed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the sink never transmits and has no traffic demand$"):
         node_priority(t, 0, 1)
     with pytest.raises(ValueError):
         node_priority(t, 1, 3)
     for outside in (7, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^node {outside} not in tree$"):
             node_priority(t, outside, 1)
     # a node id is an integer: True and 1.0 are not node 1
     for bad in (True, 1.0, "1"):
@@ -213,15 +213,21 @@ def test_conflict_map_stops_once_no_ball_grows():
 
 
 def _reference_run_trasa(tree, conflicts, heuristic):
-    """The snapshot loop that re-sorts pending nodes and tests occupants pairwise."""
+    """The snapshot loop that re-sorts pending nodes and tests each node against every occupant."""
     remaining = {u: tree.gen_rate[u] for u in tree.nodes()}
     remaining[tree.sink] = 0
     allocations = {u: [] for u in tree.non_sink_nodes()}
     cycle_end = 0
+    priority = {u: node_priority(tree, u, heuristic) for u in tree.non_sink_nodes()}
+    near = {u: set() for u in tree.nodes()}  # the pair rule: either node's entry holds the other
+    for u in tree.nodes():
+        for v in conflicts.conflicting(u):
+            near[u].add(v)
+            near.setdefault(v, set()).add(u)
 
     def pending():
         nodes = [u for u in tree.non_sink_nodes() if remaining[u] > 0]
-        nodes.sort(key=lambda u: node_priority(tree, u, heuristic))
+        nodes.sort(key=priority.__getitem__)
         return nodes
 
     snapshot = pending()
@@ -235,7 +241,7 @@ def _reference_run_trasa(tree, conflicts, heuristic):
         occupants = [head]
         for v in snapshot[1:]:
             demand = remaining[v]
-            if demand == 0 or any(conflicts.conflicts(v, w) for w in occupants):
+            if demand == 0 or not near[v].isdisjoint(occupants):
                 continue
             cycle_end = max(cycle_end, window_start + demand)
             allocations[v].append((window_start, demand))

@@ -154,7 +154,7 @@ def test_within_h_hops_rejects_equal_nodes_and_bad_h():
     g = chain_graph(3)
     with pytest.raises(ValueError):
         within_h_hops(g, 1, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^h must be >= 1$"):
         within_h_hops(g, 0, 1, 0)
     for h in ("2", True, 1.5):  # build_conflict_map rejects these too
         with pytest.raises(ValueError, match="h must be an integer"):
@@ -291,6 +291,8 @@ def test_node_count_and_seed_must_be_integers():
     for bad in (2.5, True, np.True_):
         with pytest.raises(ValueError, match="n must"):
             generate_random_graph(bad, (1.0, 1.0), 0.4, seed=1)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        generate_random_graph(0, (1.0, 1.0), 0.4, 1)
     for bad in (1.5, True):
         with pytest.raises(ValueError, match="seed must"):
             generate_random_graph(5, (1.0, 1.0), 0.4, seed=bad)

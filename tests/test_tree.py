@@ -105,8 +105,11 @@ def test_subtree_demand_examples():
     t = build_spanning_tree(g, max_children=3)
     assert subtree_demand(t, 2) == 1  # leaf
     assert subtree_demand(t, 1) == 2  # own packet plus the leaf's
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the sink never transmits and has no traffic demand$"):
         subtree_demand(t, 0)
+    for outside in (7, -1):  # the same messages as node_priority's
+        with pytest.raises(ValueError, match=f"^node {outside} not in tree$"):
+            subtree_demand(t, outside)
     # a node id is an integer: True and 1.0 are not node 1
     for bad in (True, 1.0, "1"):
         with pytest.raises(ValueError, match="node id must be an integer"):
