@@ -66,7 +66,7 @@ def _node_counts(schedule: Schedule, tree: SpanningTree) -> tuple[dict[int, int]
     transmits, or for the first (slot, node) that sends from an empty
     buffer.
     """
-    strangers = [u for u in sorted(schedule.allocations) if u == tree.sink or u not in tree.depth]
+    strangers = sorted(schedule.allocations.keys() - tree._non_sink)
     if strangers:
         raise CausalityBreach(f"nodes {strangers} transmit but are the sink or not in the tree")
     awake, peak, faults = schedule._counts(tree)

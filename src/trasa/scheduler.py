@@ -16,7 +16,7 @@ labelling, so validating the schedule on the same map builds no other.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -101,7 +101,7 @@ class ConflictMap:
         placed = set(order)
         nodes = order + [u for u in keys if u not in placed]
         bit = {u: 1 << i for i, u in enumerate(nodes)}
-        near = {u: ball & ~bit[u] for u, ball in self._balls(bit).items()}
+        near = {u: ball ^ bit[u] for u, ball in self._balls(bit).items()}  # every ball holds its own bit
         kept = _Labelling(order, nodes, bit, near)
         object.__setattr__(self, "_kept", kept)
         return kept
@@ -196,8 +196,14 @@ class Schedule:
         self.allocations: dict[int, list[tuple[int, int]]] = {}
         for u, intervals in allocations.items():
             u = _integer(u, "node id")
+            ivs = []
             try:
-                ivs = [(_integer(s, "interval start"), _integer(w, "interval width")) for s, w in intervals]
+                for pair in intervals:
+                    try:
+                        s, w = pair
+                    except ValueError:  # too few or too many values; _integer's errors pass through
+                        raise TypeError from None
+                    ivs.append((_integer(s, "interval start"), _integer(w, "interval width")))
             except TypeError:
                 raise ValueError(f"intervals of node {u} must be (start, width) pairs") from None
             ivs.sort()
@@ -274,18 +280,14 @@ def node_priority(tree: SpanningTree, u: int, heuristic: int) -> tuple[int, int,
     """Sortable priority key; lower sorts first (= higher priority).
 
     Heuristic 1 favors many descendants, heuristic 2 few. Ties break by depth
-    then node id in both, giving a total order.
+    then node id in both, giving a total order. `run_trasa` gets this order
+    from builtin sorts: ids ascending, then stable by depth, then stable by
+    descendants, reversed for heuristic 1 (a reverse sort keeps ties in place).
     """
     heuristic = _check_heuristic(heuristic)
-    return _priority_key(tree, heuristic)(tree._check_non_sink(u))
-
-
-def _priority_key(tree: SpanningTree, heuristic: int) -> Callable[[int], tuple[int, int, int]]:
-    """The `node_priority` key of a checked heuristic, read from the tree's tables unchecked."""
-    sign = -1 if heuristic == 1 else 1
-    descendants = tree.descendants
-    depth = tree.depth
-    return lambda u: (sign * descendants[u], depth[u], u)
+    u = tree._check_non_sink(u)
+    descendants = tree.descendants[u]
+    return (-descendants if heuristic == 1 else descendants, tree.depth[u], u)
 
 
 def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) -> Schedule:
@@ -301,11 +303,12 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     snapshot does not join the running walk).
 
     The priority key is static, so the nodes that ever carry demand are
-    sorted once into `order`, and bit i of `pending` (the nodes with demand)
-    and of the conflict masks is `order[i]`, in the labelling the map then
-    keeps for `validate_schedule`. The walk starts as `pending` and drops
-    each allocated node and every node it conflicts with, so a window
-    closes once no node left in it can join.
+    sorted once into `order`, in `node_priority` order, and bit i of
+    `pending` (the nodes with demand) and of the conflict masks is
+    `order[i]`, in the labelling the map then keeps for
+    `validate_schedule`. The walk starts as `pending` and drops each
+    allocated node and every node it conflicts with, so a window closes
+    once no node left in it can join.
     """
     heuristic = _check_heuristic(heuristic)
     parent = tree.parent
@@ -314,7 +317,9 @@ def run_trasa(tree: SpanningTree, conflicts: ConflictMap, heuristic: int = 1) ->
     remaining[sink] = 0
     allocations: dict[int, list[tuple[int, int]]] = {u: [] for u in tree.non_sink_nodes()}
     demand = tree._demand
-    order = sorted((u for u in allocations if demand[u] > 0), key=_priority_key(tree, heuristic))
+    order = [u for u in allocations if demand[u] > 0]  # ascending ids
+    order.sort(key=tree.depth.__getitem__)
+    order.sort(key=tree.descendants.__getitem__, reverse=heuristic == 1)
     masks = conflicts.in_order(order)
     bit = conflicts._labelling().bit  # bit i for order[i], as in the masks
     pending = sum(bit[u] for u in order if remaining[u] > 0)
@@ -474,7 +479,7 @@ def validate_schedule(
     Order: strangers, conflicts and causality each by (slot, nodes), delivery.
     """
     report = ValidationReport()
-    strangers = [u for u in sorted(schedule.allocations) if u not in tree.depth]
+    strangers = sorted(schedule.allocations.keys() - tree.depth.keys())
     for u in strangers:
         first_slot = schedule.allocations[u][0][0]
         detail = f"node {u} transmits but is not in the tree"
@@ -524,9 +529,12 @@ def dump_schedule(schedule: Schedule, tree: SpanningTree) -> str:
     `parse_schedule` gives the schedule back.
     """
     lines = [f"schedule {schedule.length}"]
-    for u in sorted(schedule.allocations.keys() | tree.non_sink_nodes()):
-        parts = [str(u)] + [f"{s}:{w}" for s, w in schedule.allocations.get(u, [])]
-        lines.append(" ".join(parts))
+    allocations = schedule.allocations
+    for u in sorted(allocations.keys() | tree._non_sink):
+        line = str(u)
+        for s, w in allocations.get(u, ()):
+            line += f" {s}:{w}"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -546,7 +554,10 @@ def parse_schedule(text: str) -> Schedule:
             raise ValueError(f"duplicate schedule line for node {u}")
         intervals = []
         for token in parts[1:]:
-            s, w = token.split(":")
-            intervals.append((int(s), int(w)))
+            try:
+                s, w = token.split(":")
+                intervals.append((int(s), int(w)))
+            except ValueError:
+                raise ValueError(f"bad interval {token!r} of node {u}") from None
         allocations[u] = intervals
     return Schedule(length, allocations)

@@ -18,6 +18,7 @@ import numbers
 import operator
 from collections import deque
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class NetworkGraph:
             self.positions = tuple((_real(x), _real(y)) for x, y in positions)
         except (TypeError, ValueError):
             raise ValueError("node positions must be pairs of real numbers") from None
-        if not all(math.isfinite(c) for xy in self.positions for c in xy):
+        if not all(map(math.isfinite, chain.from_iterable(self.positions))):
             raise ValueError("node positions must be finite")
         self.range_r = float(range_r)
         self.seed = _integer(seed, "seed")
@@ -136,7 +137,7 @@ def _derive_adjacency(
     the candidate pairs, n times the points within r in x, not with n².
     """
     n = len(positions)
-    x, y = np.asarray(positions, dtype=float).T
+    x, y = np.fromiter(chain.from_iterable(positions), float, 2 * n).reshape(n, 2).T
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range

@@ -112,16 +112,24 @@ def test_search_matches_unpruned_brute_force():
         assert optimal_schedule_length(t, cm) == _brute_force_minimum(t, cm)
 
 
-def _node_maximal_sets(eligible, conflicts) -> list[tuple[int, ...]]:
-    """`oracle._maximal_independent_sets` on node ids: the maximal conflict-free subsets of eligible, each sorted.
+def _id_compatible(conflicts, nodes) -> list[int]:
+    """Per node id up to the largest key of the map or of nodes, the mask of the ids it may share a slot with.
 
     Each node id is its own index, and every node of the conflict map has
-    one, so the compatibility masks hold bits outside the eligible mask too.
-    The enumerator is looked up on each call, so a patched one is used.
+    one, so the masks hold bits outside any eligible set too.
     """
-    top = max([*conflicts.links, *eligible], default=-1) + 1
+    top = max([*conflicts.links, *nodes], default=-1) + 1
     everyone = (1 << top) - 1
-    compatible = [everyone & ~mask & ~(1 << u) for u, mask in enumerate(conflicts.in_order(range(top)))]
+    return [everyone & ~mask & ~(1 << u) for u, mask in enumerate(conflicts.in_order(range(top)))]
+
+
+def _node_maximal_sets(eligible, compatible) -> list[tuple[int, ...]]:
+    """`oracle._maximal_independent_sets` on node ids: the maximal conflict-free subsets of eligible, each sorted.
+
+    `compatible` is `_id_compatible` of the map and of every node that may
+    be eligible. The enumerator is looked up on each call, so a patched one
+    is used.
+    """
     return [tuple(_bits(s)) for s in oracle._maximal_independent_sets(sum(1 << u for u in eligible), compatible)]
 
 
@@ -143,6 +151,7 @@ def _per_state_optimal_schedule_length(tree, conflicts) -> int:
     start = tuple(tree.gen_rate[u] for u in order)
     if sum(start) == 0:
         return 0
+    compatible = _id_compatible(conflicts, order)  # once per search, not per expanded state
 
     def bound(buffers):
         through = list(buffers)
@@ -163,7 +172,7 @@ def _per_state_optimal_schedule_length(tree, conflicts) -> int:
         if slots > seen.get(buffers, slots):
             continue
         eligible = [u for u in order if buffers[index[u]] > 0]
-        for transmitters in _node_maximal_sets(eligible, conflicts):
+        for transmitters in _node_maximal_sets(eligible, compatible):
             nxt = list(buffers)
             for u in transmitters:
                 nxt[index[u]] -= 1
@@ -398,7 +407,9 @@ def test_mask_enumeration_matches_pairwise_maximal_sets():
         eligible = [u for u in t.non_sink_nodes() if rng.random() < 0.8]
         if checked % 3 == 0:
             rng.shuffle(eligible)  # the order of the input changes nothing
-        assert sorted(_node_maximal_sets(eligible, cm)) == sorted(_reference_maximal_sets(eligible, cm))
+        assert sorted(_node_maximal_sets(eligible, _id_compatible(cm, eligible))) == sorted(
+            _reference_maximal_sets(eligible, cm)
+        )
         checked += 1
 
 

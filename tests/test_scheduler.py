@@ -288,6 +288,26 @@ def test_sort_once_bitmask_trasa_matches_resorting_loop_at_n2000():
             _assert_matches_reference(t, build_conflict_map(g, t, variant, 2), heuristic, variant, gen_rate)
 
 
+def test_run_trasa_labels_in_node_priority_order():
+    """`run_trasa` keeps the labelling of the non-sink nodes with demand, in `node_priority` order.
+
+    Its order comes from builtin sorts, not from the key: chains, stars
+    (every leaf ties) and mixed rates (zero-demand subtrees) give many
+    descendant and depth ties.
+    """
+    rng = random.Random(3434)
+    trees = [build_spanning_tree(chain_graph(n), max_children=3) for n in (2, 5, 9)]
+    trees += [build_spanning_tree(star_graph(n), max_children=n) for n in (2, 6, 9)]
+    trees += [random_tree(rng, (2, 40), rate)[1] for rate in (1, 2, "mixed") for _ in range(10)]
+    for t in trees:
+        for heuristic in (1, 2):
+            cm = ConflictMap({u: () for u in t.nodes()}, 1)
+            run_trasa(t, cm, heuristic)
+            with_demand = [u for u in t.non_sink_nodes() if subtree_demand(t, u) > 0]
+            expected = sorted(with_demand, key=lambda u: node_priority(t, u, heuristic))
+            assert cm._kept.order == expected, (t.parent, t.gen_rate, heuristic)
+
+
 def test_in_order_masks_match_the_id_relation():
     rng = random.Random(2626)
     for _ in range(40):
@@ -713,9 +733,17 @@ def test_malformed_schedule_and_conflict_input_are_value_errors():
     for bad in (None, [(1, 2)]):
         with pytest.raises(ValueError, match="^allocations must map node ids to intervals"):
             Schedule(3, bad)
-    for bad in ({1: None}, {1: [None]}, {1: [(0, 1), 5]}):
+    for bad in ({1: None}, {1: [None]}, {1: [(0, 1), 5]}, {1: [(0,)]}, {1: [(0, 1, 2)]}, {1: [(0, 1), ()]}):
         with pytest.raises(ValueError, match=r"^intervals of node 1 must be \(start, width\) pairs$"):
             Schedule(3, bad)
+    # a pair whose start or width is not an integer keeps that check's message
+    with pytest.raises(ValueError, match="^interval start must be an integer, got 0.5$"):
+        Schedule(3, {1: [(0.5, 1)]})
+    with pytest.raises(ValueError, match="^interval width must be an integer, got '1'$"):
+        Schedule(3, {1: [(0, "1")]})
+    for token in ("0:1:2", "0-1", "x:1", "0:"):
+        with pytest.raises(ValueError, match=f"^bad interval '{token}' of node 1$"):
+            parse_schedule(f"schedule 3\n1 {token}\n")
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
         ConflictMap({1: 5, 5: 1}, 1).conflicts(1, 5)
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
